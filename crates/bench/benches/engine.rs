@@ -16,8 +16,7 @@
 
 use apps::runner::System;
 use apps::Workload;
-use bench::{exec, run_matrix, run_parallel, run_parallel_on, Preset, RunKey};
-use cluster::ClusterConfig;
+use bench::{exec, run_matrix, run_parallel, Preset, RunKey};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 use treadmarks::ProtocolKind;
@@ -60,36 +59,6 @@ fn engine_throughput(c: &mut Criterion) {
     }
 }
 
-/// The threaded windowed engine at increasing widths over one run: the
-/// `(islands, island_threads)` knobs are execution-only (bit-identical
-/// output, asserted by the determinism suite), so any spread between these
-/// rows is pure engine throughput.
-fn threaded_windows(c: &mut Criterion) {
-    let (w, sys, n) = (Workload::Water288, System::TreadMarks(ProtocolKind::Lrc), 8);
-    for (islands, threads) in [(1usize, 1usize), (4, 1), (4, 4)] {
-        let run_once = || {
-            let mut cfg = ClusterConfig::calibrated_fddi(n);
-            cfg.islands = islands;
-            cfg.island_threads = threads;
-            run_parallel_on(w, sys, &cfg, Preset::Tiny)
-        };
-        let label = format!(
-            "engine/windowed/{}/{sys}/{n}p/islands{islands}_threads{threads}",
-            w.name()
-        );
-        // lint:allow(wall-clock): benchmark measures this machine's throughput
-        let started = Instant::now();
-        let iters = 5;
-        let mut events = 0u64;
-        for _ in 0..iters {
-            events += transport_messages(&run_once());
-        }
-        let wall = started.elapsed().as_secs_f64();
-        println!("{label}: {:.0} events/sec", events as f64 / wall);
-        c.bench_function(&label, |b| b.iter(run_once));
-    }
-}
-
 /// The allocation pass head-to-head, on the diff store's churn pattern
 /// (batch insert, ordered range scan, GC-retain): a plain `BTreeMap` of
 /// owned records — the pre-PR-10 layout, every insert and every GC'd
@@ -112,9 +81,12 @@ fn slab_vs_btreemap(c: &mut Criterion) {
         b.iter(|| {
             let mut map: BTreeMap<Key, Rec> = BTreeMap::new();
             for i in 0..n {
-                map.insert(key_of(i), Rec {
-                    payload: [i as u64; 8],
-                });
+                map.insert(
+                    key_of(i),
+                    Rec {
+                        payload: [i as u64; 8],
+                    },
+                );
             }
             let scanned: u64 = map
                 .range((0u64, 0usize, 0u32)..(32u64, 0usize, 0u32))
@@ -190,7 +162,6 @@ fn executor_fanout(c: &mut Criterion) {
 criterion_group!(
     benches,
     engine_throughput,
-    threaded_windows,
     slab_vs_btreemap,
     executor_fanout
 );

@@ -13,12 +13,9 @@
 //! cargo run -p bench --release --bin reproduce -- --figure water-288
 //! cargo run -p bench --release --bin reproduce -- --net atm         # 155 Mbit switched ATM
 //! cargo run -p bench --release --bin reproduce -- --procs 16        # past the paper's 8
-//! cargo run -p bench --release --bin reproduce -- --islands 4       # PDES island scheduler
-//! cargo run -p bench --release --bin reproduce -- --islands 4 --island-threads 4  # threaded windows
 //! cargo run -p bench --release --bin reproduce -- --scenario examples/scenarios/atm_16procs.toml
 //! cargo run -p bench --release --bin reproduce -- sweep --vary procs      # speedup past 8
 //! cargo run -p bench --release --bin reproduce -- sweep --vary bandwidth  # runtime vs bandwidth
-//! cargo run -p bench --release --bin reproduce -- sweep --vary islands    # execution invariance
 //! cargo run -p bench --release --bin reproduce -- fuzz --seeds 25         # schedule exploration
 //! cargo run -p bench --release --bin reproduce -- fuzz --seeds 25 --faults lossy
 //! cargo run -p bench --release --bin reproduce -- fuzz --until-failure --faults FILE
@@ -54,32 +51,10 @@
 //! commented examples: `examples/scenarios/`).  Explicit CLI flags override
 //! the scenario file.
 //!
-//! `--islands N` (scenario key `islands`) partitions every simulated run's
-//! processes into N scheduler islands — the conservative-PDES execution
-//! strategy of `cluster::sched`.  An execution knob, never a model knob:
-//! output is byte-identical for every width (CI diffs `--json` and
-//! `--trace` across `--islands 1/2/4` with `oracle-checks` on), so it is
-//! not stamped into `--json` records; `--bench-out` stamps the width into
-//! the `timing` section only, and only when it is not 1.
-//!
-//! `--island-threads N` (scenario key `island_threads`) additionally runs
-//! the islands of each simulation on N worker threads inside every horizon
-//! window — cross-island sends stage into per-(source, destination)
-//! buffers merged in fixed island order at the window barrier, so no
-//! thread interleaving ever reaches a simulated byte.  Like `--islands` it
-//! is an execution knob: bit-identical output at every thread count (CI
-//! diffs `--json` and `--trace` across `--island-threads 1/2/4` with
-//! `oracle-checks` replaying every threaded run against the serial
-//! engine), excluded from `--json` records, stamped into the `--bench-out`
-//! `timing` section only when not 1.
-//!
-//! `sweep --vary {procs,bandwidth,latency,islands}` renders sensitivity
-//! figures instead of the reproduction: speedup versus processor count
-//! past the paper's 8, or runtime versus a ×0.25…×4 scaling of one
-//! interconnect field, per workload × system (see `bench::sweep`).
-//! `--vary islands` is the execution-invariance figure: the same matrix is
-//! computed at island widths 1/2/4, asserted bit-identical, and rendered
-//! as one (identical) row per width.
+//! `sweep --vary {procs,bandwidth,latency}` renders sensitivity figures
+//! instead of the reproduction: speedup versus processor count past the
+//! paper's 8, or runtime versus a ×0.25…×4 scaling of one interconnect
+//! field, per workload × system (see `bench::sweep`).
 //!
 //! `fuzz --seeds N` (docs/FUZZING.md) fans the selected workload × system
 //! points across N fuzz seeds: seed 0 is the pristine schedule, seed `s`
@@ -125,6 +100,10 @@
 //! levels the detector lives outside the cost model, so every simulated
 //! number stays bit-identical to a `--racecheck`-free run; the exit status
 //! is nonzero when any race is found.
+//!
+//! An argument starting with `--` that is not one of the flags above (and
+//! is not a flag's value) is an error: the harness exits 1 naming it rather
+//! than silently running without it.
 
 use apps::runner::System;
 use apps::Workload;
@@ -132,7 +111,7 @@ use bench::fuzz::{run_fuzz, FuzzSpec};
 use bench::scenario::{workload_by_name, ResolvedScenario};
 use bench::sweep::{Sweep, Vary};
 use bench::{
-    exec, invariants, obs, problem_size, proc_series, render_race_reports, run_matrix_islands,
+    exec, invariants, obs, problem_size, proc_series, render_race_reports, run_matrix_tuned,
     run_record_json, run_sequential, try_run_parallel_on, Preset, RunKey, RunMatrix, RunTuning,
 };
 use cluster::{AnalysisLevel, FaultPlan, NetModel, NetPreset, ObsLevel, Scenario};
@@ -286,14 +265,7 @@ fn json_dump(
 /// The engine-throughput report written by `--bench-out`: deterministic
 /// matrix totals first (byte-stable across runs and job counts — CI diffs
 /// them), wall-clock timing of this execution second.
-fn bench_report(
-    matrix: &RunMatrix,
-    tuning: &RunTuning,
-    jobs: usize,
-    islands: usize,
-    island_threads: usize,
-    wall_seconds: f64,
-) -> String {
+fn bench_report(matrix: &RunMatrix, tuning: &RunTuning, jobs: usize, wall_seconds: f64) -> String {
     let mut events = 0u64; // transport messages processed (sent == consumed)
     let mut virtual_seconds = 0.0f64;
     let mut checksum_xor = 0u64;
@@ -314,22 +286,11 @@ fn bench_report(
             tuning.fault.hash()
         ));
     }
-    // Like the tuning stamps: the island width and its thread count are
-    // execution details, so they land in the (per-machine) timing section —
-    // and only when not 1 — keeping the deterministic section identical
-    // across every (islands, island_threads) combination.
-    let mut timing_fields = String::new();
-    if islands != 1 {
-        timing_fields.push_str(&format!("    \"islands\": {islands},\n"));
-    }
-    if island_threads != 1 {
-        timing_fields.push_str(&format!("    \"island_threads\": {island_threads},\n"));
-    }
     format!(
         "{{\n  \"preset\": \"{:?}\",\n  \"deterministic\": {{\n{tuning_fields}    \"runs\": {},\n    \
          \"total_messages\": {},\n    \"total_virtual_seconds\": {},\n    \
          \"total_virtual_seconds_bits\": \"{:016x}\",\n    \"checksum_bits_xor\": \"{:016x}\"\n  }},\n  \
-         \"timing\": {{\n{timing_fields}    \"jobs\": {},\n    \"wall_seconds\": {:.3},\n    \
+         \"timing\": {{\n    \"jobs\": {},\n    \"wall_seconds\": {:.3},\n    \
          \"events_per_second\": {:.0},\n    \"virtual_seconds_per_wall_second\": {:.2}\n  }}\n}}\n",
         matrix.preset,
         matrix.len(),
@@ -351,7 +312,7 @@ fn list_catalogue(json: bool) {
     let protocols: Vec<ProtocolKind> = ProtocolKind::all().to_vec();
     let systems: Vec<System> = System::all().to_vec();
     let presets = ["tiny", "scaled", "paper"];
-    let axes = ["procs", "bandwidth", "latency", "islands"];
+    let axes = ["procs", "bandwidth", "latency"];
     if json {
         println!("{{");
         let protos: Vec<String> = protocols
@@ -402,10 +363,7 @@ fn list_catalogue(json: bool) {
         };
         println!("  \"presets\": [{}],", quoted(&presets));
         println!("  \"sweep_axes\": [{}],", quoted(&axes));
-        println!(
-            "  \"execution_knobs\": [{}],",
-            quoted(&["jobs", "islands", "island_threads"])
-        );
+        println!("  \"execution_knobs\": [{}],", quoted(&["jobs"]));
         let kinds: Vec<String> = FaultPlan::kinds()
             .iter()
             .map(|(name, desc)| {
@@ -450,10 +408,7 @@ fn list_catalogue(json: bool) {
     }
     println!("\nProblem-size presets: {}", presets.join(", "));
     println!("Sweep axes (sweep --vary AXIS): {}", axes.join(", "));
-    println!(
-        "Execution knobs (byte-identical output at every value): \
-         --jobs N, --islands N, --island-threads N"
-    );
+    println!("Execution knobs (byte-identical output at every value): --jobs N");
     println!("\nFault kinds (scenario [fault] section; fuzz --faults {{lossy,partitioned,FILE}}):");
     for (name, desc) in FaultPlan::kinds() {
         println!("  {name:<12} {desc}");
@@ -471,7 +426,6 @@ fn fail(msg: impl std::fmt::Display) -> ! {
 /// battery and print one verdict line each, naming the fault context.  The
 /// fan uses the ordered executor, so the table is byte-identical across
 /// `--jobs` widths.
-#[allow(clippy::too_many_arguments)]
 fn replay_verdicts(
     preset: Preset,
     net: NetModel,
@@ -480,8 +434,6 @@ fn replay_verdicts(
     systems: &[System],
     tuning: &RunTuning,
     jobs: usize,
-    islands: usize,
-    island_threads: usize,
 ) {
     println!(
         "Crash-plan scenario: verdict replay at {nprocs} processes (net {}, {preset:?} preset)",
@@ -501,8 +453,6 @@ fn replay_verdicts(
             let seq = &seqs.iter().find(|(k, _)| *k == w).unwrap().1;
             move || {
                 let mut cfg = net.config(nprocs);
-                cfg.islands = islands;
-                cfg.island_threads = island_threads;
                 tuning.apply(&mut cfg);
                 invariants::verdict(try_run_parallel_on(w, sys, &cfg, preset), seq)
             }
@@ -532,7 +482,7 @@ fn main() {
             .position(|a| a == flag)
             .and_then(|i| args.get(i + 1))
     };
-    const VALUE_FLAGS: [&str; 14] = [
+    const VALUE_FLAGS: [&str; 12] = [
         "--protocol",
         "--jobs",
         "--bench-out",
@@ -545,25 +495,44 @@ fn main() {
         "--trace",
         "--seeds",
         "--faults",
-        "--islands",
-        "--island-threads",
+    ];
+    const BOOL_FLAGS: [&str; 9] = [
+        "--list",
+        "--json",
+        "--full",
+        "--tiny",
+        "--metrics",
+        "--racecheck",
+        "--table1",
+        "--table2",
+        "--until-failure",
     ];
     for flag in VALUE_FLAGS {
         if args.last().map(String::as_str) == Some(flag) {
             fail(format!("{flag} requires a value"));
         }
     }
-    // `sweep` and `fuzz` are only subcommands in first position; catch them
-    // anywhere else (except as a flag's value, e.g. a `--bench-out sweep`
-    // filename) rather than silently running the full reproduction.
-    if !sweep_mode && !fuzz_mode {
-        for (i, arg) in args.iter().enumerate() {
-            let is_flag_value = i > 0 && VALUE_FLAGS.contains(&args[i - 1].as_str());
-            if (arg == "sweep" || arg == "fuzz") && !is_flag_value {
-                fail(format!(
-                    "`{arg}` must be the first argument: `reproduce {arg} ...`"
-                ));
-            }
+    for (i, arg) in args.iter().enumerate() {
+        let is_flag_value = i > 0 && VALUE_FLAGS.contains(&args[i - 1].as_str());
+        if is_flag_value {
+            continue;
+        }
+        // A misspelt or retired flag must not silently fall back to the
+        // default it was meant to override.
+        if arg.starts_with("--")
+            && !VALUE_FLAGS.contains(&arg.as_str())
+            && !BOOL_FLAGS.contains(&arg.as_str())
+        {
+            fail(format!("unknown flag {arg}"));
+        }
+        // `sweep` and `fuzz` are only subcommands in first position; catch
+        // them anywhere else (except as a flag's value, e.g. a `--bench-out
+        // sweep` filename) rather than silently running the full
+        // reproduction.
+        if !sweep_mode && !fuzz_mode && (arg == "sweep" || arg == "fuzz") {
+            fail(format!(
+                "`{arg}` must be the first argument: `reproduce {arg} ...`"
+            ));
         }
     }
 
@@ -624,22 +593,6 @@ fn main() {
             .as_ref()
             .map(|s| s.max_procs)
             .unwrap_or(default_procs),
-    };
-    let islands: usize = match flag_value("--islands") {
-        Some(v) => match v.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => fail(format!("--islands requires a positive integer, got '{v}'")),
-        },
-        None => scenario.as_ref().map(|s| s.islands).unwrap_or(1),
-    };
-    let island_threads: usize = match flag_value("--island-threads") {
-        Some(v) => match v.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => fail(format!(
-                "--island-threads requires a positive integer, got '{v}'"
-            )),
-        },
-        None => scenario.as_ref().map(|s| s.island_threads).unwrap_or(1),
     };
     let systems: Vec<System> = match flag_value("--protocol").map(String::as_str) {
         None => scenario
@@ -760,8 +713,6 @@ fn main() {
             plan,
             until_failure: wants("--until-failure"),
             jobs,
-            islands,
-            island_threads,
         };
         let out = run_fuzz(&spec);
         print!("{}", out.report);
@@ -813,58 +764,22 @@ fn main() {
         let keys = sweep.keys();
         // lint:allow(wall-clock): times this machine's execution for the --bench-out report
         let started = std::time::Instant::now();
-        let sweep_matrix_at = |islands: usize| {
-            run_matrix_islands(
-                preset,
-                &sweep.workloads,
-                &keys,
-                jobs,
-                obs_level,
-                AnalysisLevel::Off,
-                &RunTuning::default(),
-                islands,
-                island_threads,
-            )
-        };
-        let matrix = if vary == Vary::Islands {
-            if wants("--islands") {
-                fail(
-                    "--islands does not compose with `sweep --vary islands`; \
-                     the sweep runs every island width itself",
-                );
-            }
-            // The execution-invariance figure: compute the matrix once per
-            // width, assert bit-identity, render from the width-1 matrix.
-            let reference = sweep_matrix_at(bench::sweep::ISLAND_WIDTHS[0]);
-            for &width in &bench::sweep::ISLAND_WIDTHS[1..] {
-                let other = sweep_matrix_at(width);
-                for key in &keys {
-                    assert!(
-                        format!("{:?}", reference.run(key)) == format!("{:?}", other.run(key)),
-                        "execution-invariance violation: {key:?} differs between \
-                         islands={} and islands={width}",
-                        bench::sweep::ISLAND_WIDTHS[0],
-                    );
-                }
-            }
-            reference
-        } else {
-            sweep_matrix_at(islands)
-        };
+        let matrix = run_matrix_tuned(
+            preset,
+            &sweep.workloads,
+            &keys,
+            jobs,
+            obs_level,
+            AnalysisLevel::Off,
+            &RunTuning::default(),
+        );
         let wall_seconds = started.elapsed().as_secs_f64();
         print!("{}", sweep.render(&matrix));
         if want_metrics {
             print!("\n{}", obs::metrics_report(&matrix));
         }
         if let Some(path) = bench_out {
-            let report = bench_report(
-                &matrix,
-                &RunTuning::default(),
-                jobs,
-                islands,
-                island_threads,
-                wall_seconds,
-            );
+            let report = bench_report(&matrix, &RunTuning::default(), jobs, wall_seconds);
             if let Err(err) = std::fs::write(&path, &report) {
                 fail(format!("cannot write {path}: {err}"));
             }
@@ -896,8 +811,6 @@ fn main() {
             &systems,
             &tuning,
             jobs,
-            islands,
-            island_threads,
         );
         return;
     }
@@ -964,7 +877,7 @@ fn main() {
 
     // lint:allow(wall-clock): times this machine's execution for the --bench-out report
     let started = std::time::Instant::now();
-    let matrix = run_matrix_islands(
+    let matrix = run_matrix_tuned(
         preset,
         &seq_workloads,
         &keys,
@@ -972,8 +885,6 @@ fn main() {
         obs_level,
         analysis_level,
         &tuning,
-        islands,
-        island_threads,
     );
     let wall_seconds = started.elapsed().as_secs_f64();
 
@@ -1017,7 +928,7 @@ fn main() {
     }
 
     if let Some(path) = bench_out {
-        let report = bench_report(&matrix, &tuning, jobs, islands, island_threads, wall_seconds);
+        let report = bench_report(&matrix, &tuning, jobs, wall_seconds);
         if let Err(err) = std::fs::write(&path, &report) {
             fail(format!("cannot write {path}: {err}"));
         }

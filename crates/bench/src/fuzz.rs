@@ -50,14 +50,6 @@ pub struct FuzzSpec {
     /// Worker threads for the per-seed fan (the report is identical for
     /// every value).
     pub jobs: usize,
-    /// Scheduler island width of every run (the report is identical for
-    /// every value: faults draw from per-link PRNG streams, so island order
-    /// never leaks into draws).
-    pub islands: usize,
-    /// Island worker threads inside each horizon window (the report is
-    /// identical for every value: the staging-buffer merge fixes delivery
-    /// order before any thread interleaving can reach a simulated byte).
-    pub island_threads: usize,
 }
 
 /// One invariant failure the fuzzer found, shrunk and ready to replay.
@@ -129,8 +121,6 @@ fn preset_name(p: Preset) -> &'static str {
 fn point_config(spec: &FuzzSpec, tuning: &RunTuning) -> ClusterConfig {
     let mut cfg = spec.net.config(spec.nprocs);
     cfg.analysis = AnalysisLevel::Race;
-    cfg.islands = spec.islands;
-    cfg.island_threads = spec.island_threads;
     tuning.apply(&mut cfg);
     cfg
 }
@@ -160,11 +150,6 @@ fn reproducer(spec: &FuzzSpec, w: Workload, systems: &[System], tuning: &RunTuni
         overrides: spec.net.overrides,
         sched_seed: (tuning.sched_seed != 0).then_some(tuning.sched_seed),
         tie_limit: tuning.tie_limit,
-        // Neither the island width nor its thread count is part of a
-        // finding's identity (every width reproduces it bit for bit), so
-        // reproducers never carry them.
-        islands: None,
-        island_threads: None,
         fault: (!tuning.fault.is_empty() || tuning.fault.seed != 0).then(|| tuning.fault.clone()),
     }
     .to_toml()
@@ -365,8 +350,6 @@ mod tests {
             plan,
             until_failure: false,
             jobs: 2,
-            islands: 1,
-            island_threads: 1,
         }
     }
 

@@ -396,29 +396,6 @@ pub fn run_matrix_tuned(
     analysis: AnalysisLevel,
     tuning: &RunTuning,
 ) -> RunMatrix {
-    run_matrix_islands(preset, seq_workloads, keys, jobs, obs, analysis, tuning, 1, 1)
-}
-
-/// [`run_matrix_tuned`] with a scheduler island width and an island thread
-/// count applied to every parallel run.  Like the observability, analysis
-/// and tuning knobs both reach the simulations through the configuration
-/// ([`ClusterConfig::islands`] / [`ClusterConfig::island_threads`]) and are
-/// *not* part of the [`RunKey`]: every width and thread count produces
-/// bit-identical runs (asserted against the serial reference executor under
-/// `oracle-checks`), so matrices computed at different widths render
-/// byte-identically.
-#[allow(clippy::too_many_arguments)]
-pub fn run_matrix_islands(
-    preset: Preset,
-    seq_workloads: &[Workload],
-    keys: &[RunKey],
-    jobs: usize,
-    obs: ObsLevel,
-    analysis: AnalysisLevel,
-    tuning: &RunTuning,
-    islands: usize,
-    island_threads: usize,
-) -> RunMatrix {
     let mut seq_keys: Vec<Workload> = Vec::new();
     for &w in seq_workloads {
         if !seq_keys.contains(&w) {
@@ -455,8 +432,6 @@ pub fn run_matrix_islands(
                     let mut cfg = key.config();
                     cfg.obs = obs;
                     cfg.analysis = analysis;
-                    cfg.islands = islands;
-                    cfg.island_threads = island_threads;
                     tuning.apply(&mut cfg);
                     Done::Run(
                         key,
@@ -826,55 +801,6 @@ mod tests {
                 run_record_json(key, b),
                 "{key:?}: JSON record differs"
             );
-        }
-    }
-
-    /// The tentpole guarantee of the island scheduler, at matrix level: a
-    /// matrix computed at any island width renders byte-identically to the
-    /// width-1 (flat-arbiter) matrix — every virtual time, checksum,
-    /// counter and JSON record.
-    #[test]
-    fn island_widths_render_byte_identical_matrices() {
-        let workloads = [Workload::Ep, Workload::SorZero, Workload::Tsp];
-        let keys: Vec<RunKey> = workloads
-            .iter()
-            .flat_map(|&w| {
-                System::all()
-                    .into_iter()
-                    .map(move |sys| RunKey::fddi(w, sys, 4))
-            })
-            .collect();
-        let matrix_at = |islands: usize, threads: usize| {
-            run_matrix_islands(
-                Preset::Tiny,
-                &workloads,
-                &keys,
-                2,
-                ObsLevel::Off,
-                AnalysisLevel::Off,
-                &RunTuning::default(),
-                islands,
-                threads,
-            )
-        };
-        let flat = matrix_at(1, 1);
-        for (islands, threads) in [(2usize, 1usize), (4, 1), (2, 2), (4, 4)] {
-            let wide = matrix_at(islands, threads);
-            for key in &keys {
-                let (a, b) = (flat.run(key), wide.run(key));
-                assert_eq!(
-                    format!("{a:?}"),
-                    format!("{b:?}"),
-                    "{key:?} differs between islands=1 and islands={islands} \
-                     island_threads={threads}"
-                );
-                assert_eq!(
-                    run_record_json(key, a),
-                    run_record_json(key, b),
-                    "{key:?}: JSON record differs at islands={islands} \
-                     island_threads={threads}"
-                );
-            }
         }
     }
 

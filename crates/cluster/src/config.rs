@@ -100,26 +100,6 @@ pub struct ClusterConfig {
     /// prefix a finding needs.
     #[serde(default)]
     pub tie_limit: Option<u64>,
-    /// Number of scheduler islands the conservative PDES scheduler
-    /// partitions the processes into (contiguous rank blocks, each with its
-    /// own event heap; see `cluster::sched::IslandSched`).  An execution
-    /// strategy, **not** part of the cost model: every width produces
-    /// bit-identical output, asserted against the flat reference arbiter
-    /// under the `oracle-checks` feature.  `0` is normalised to `1`; widths
-    /// above `nprocs` clamp to `nprocs`.
-    #[serde(default)]
-    pub islands: usize,
-    /// Number of OS threads allowed to advance ranks concurrently inside a
-    /// horizon window (see `cluster::window`).  Like
-    /// [`islands`](Self::islands) this is an execution strategy, **not**
-    /// part of the cost model: every width produces bit-identical output,
-    /// asserted against the serial reference executor under the
-    /// `oracle-checks` feature.  `0` and `1` both select the serial engine;
-    /// values `>= 2` enable the windowed engine when the configuration is
-    /// eligible (no seeded tie-breaking, no reordering/crash faults, no
-    /// run-time analysis).
-    #[serde(default)]
-    pub island_threads: usize,
 }
 
 impl ClusterConfig {
@@ -141,8 +121,6 @@ impl ClusterConfig {
             fault: FaultPlan::default(),
             sched_seed: 0,
             tie_limit: None,
-            islands: 1,
-            island_threads: 1,
         }
     }
 
@@ -168,8 +146,6 @@ impl ClusterConfig {
             fault: FaultPlan::default(),
             sched_seed: 0,
             tie_limit: None,
-            islands: 1,
-            island_threads: 1,
         }
     }
 
@@ -196,8 +172,6 @@ impl ClusterConfig {
             fault: FaultPlan::default(),
             sched_seed: 0,
             tie_limit: None,
-            islands: 1,
-            island_threads: 1,
         }
     }
 
@@ -218,8 +192,6 @@ impl ClusterConfig {
             fault: FaultPlan::default(),
             sched_seed: 0,
             tie_limit: None,
-            islands: 1,
-            island_threads: 1,
         }
     }
 

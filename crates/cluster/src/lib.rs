@@ -59,7 +59,6 @@ pub mod scenario;
 pub(crate) mod sched;
 pub mod stats;
 pub mod time;
-pub(crate) mod window;
 
 pub use analysis::AnalysisLevel;
 pub use config::{ClusterConfig, NetModel, NetPreset, Overrides};
@@ -156,8 +155,7 @@ impl Cluster {
         let f = &f;
         let results: Result<Vec<(R, ProcStats, Option<obs::ProcObs>)>, RunFailure> =
             // lint:allow(threads): the cluster's own per-process OS threads —
-            // the arbiter (and, threaded, the window coordinator) serialises
-            // every simulated interaction they perform.
+            // the arbiter serialises every simulated interaction they perform.
             std::thread::scope(|s| {
                 let mut handles = Vec::with_capacity(cfg.nprocs);
                 for id in 0..cfg.nprocs {

@@ -135,9 +135,7 @@ impl Proc {
 
     fn transmit(&self, dst: usize, tag: Tag, payload: Bytes, depart: f64) {
         let bytes = payload.len() as u64;
-        let datagrams = self
-            .core
-            .transmit(self.id, dst, tag, payload, depart, self.clock.now());
+        let datagrams = self.core.transmit(self.id, dst, tag, payload, depart);
         let mut st = self.stats.borrow_mut();
         st.messages_sent += 1;
         st.datagrams_sent += datagrams;

@@ -36,13 +36,13 @@
 //!
 //! **Thread confinement**: OS threads decide nothing in this engine — every
 //! simulated byte is fixed before any interleaving can observe it — and
-//! that only stays true while threading is confined to the executor layer:
-//! `crates/cluster/src/net.rs` (the per-island window workers),
-//! `crates/cluster/src/sched.rs` (the arbiter) and `crates/bench/src/exec.rs`
-//! (the host-side fan).  Spawn tokens (`std::thread`, `thread::spawn`,
-//! `thread::scope`, `rayon`) anywhere else in the linted crates need a
-//! `lint:allow(threads): <reason>` marker, so a future PR cannot quietly
-//! grow a thread that races the determinism discipline.
+//! that only stays true while threading is confined to the executor layer,
+//! `crates/bench/src/exec.rs` (the host-side fan over independent runs).
+//! Spawn tokens (`std::thread`, `thread::spawn`, `thread::scope`, `rayon`)
+//! anywhere else in the linted crates need a `lint:allow(threads): <reason>`
+//! marker — the cluster's per-process threads in `crates/cluster/src/lib.rs`
+//! carry one — so a future PR cannot quietly grow a thread that races the
+//! determinism discipline.
 //!
 //! **Hook discipline**: `impl ConsistencyProtocol for` is permitted only
 //! under `crates/core/src/protocol/` — backends live behind the trait, and
@@ -102,11 +102,7 @@ const HAZARDS: [(&str, Option<&str>); 6] = [
 /// The executor layer: the only files where spawning OS threads is
 /// legitimate without a marker.  Everywhere else a spawn token needs
 /// `lint:allow(threads): <reason>`.
-const THREAD_FILES: [&str; 3] = [
-    "crates/cluster/src/net.rs",
-    "crates/cluster/src/sched.rs",
-    "crates/bench/src/exec.rs",
-];
+const THREAD_FILES: [&str; 1] = ["crates/bench/src/exec.rs"];
 
 /// Tokens that spawn (or name machinery that spawns) OS threads.  Ordered
 /// longest-prefix first so the reported token is the most specific match.
@@ -474,16 +470,14 @@ mod tests {
         let t = Tree::new("threads");
         // The executor layer itself: exempt, no marker needed.
         t.write(
-            "crates/cluster/src/net.rs",
-            "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n",
-        );
-        t.write(
-            "crates/cluster/src/sched.rs",
-            "fn f() { let _ = std::thread::available_parallelism(); }\n",
-        );
-        t.write(
             "crates/bench/src/exec.rs",
             "fn f() { std::thread::spawn(|| {}); }\n",
+        );
+        // The transport spawns nothing of its own: an unmarked spawn there
+        // is a finding like anywhere else.
+        t.write(
+            "crates/cluster/src/net.rs",
+            "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n",
         );
         // Rogue spawns elsewhere: findings, one per line, across every
         // spawn token.
@@ -507,9 +501,10 @@ mod tests {
             "fn f() { std::thread::spawn(|| {}); } // lint:allow(threads):\n",
         );
         let f = t.lint();
-        assert_eq!(f.len(), 5, "{f:#?}");
+        assert_eq!(f.len(), 6, "{f:#?}");
         assert!(f.iter().all(|f| f.msg.contains("executor layer")), "{f:#?}");
         assert!(f.iter().any(|f| f.file.ends_with("bare.rs")));
+        assert!(f.iter().any(|f| f.file.ends_with("cluster/src/net.rs")));
         assert_eq!(
             f.iter()
                 .filter(|f| f.file.ends_with("cluster/src/rogue.rs"))
