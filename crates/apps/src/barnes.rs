@@ -14,10 +14,10 @@
 //!   is needed.  At 8 processes these simultaneous broadcasts saturate the
 //!   network, which is why PVM's own speedup is poor here.
 
-use crate::runner::{block_range, try_run_pvm_on, try_run_treadmarks_on, AppRun, SeqRun};
+use crate::runner::{block_range, run_pvm, run_treadmarks, AppRun, SeqRun, System};
 use cluster::{ClusterConfig, RunFailure};
 use msgpass::Pvm;
-use treadmarks::{ProtocolKind, Tmk};
+use treadmarks::Tmk;
 
 /// Cost per body-cell or body-body interaction evaluated during the force
 /// computation.
@@ -328,7 +328,7 @@ fn unpack_body(f: &[f64]) -> Body {
 }
 
 /// TreadMarks version.
-pub fn treadmarks_body(tmk: &Tmk, p: &BarnesParams) -> f64 {
+fn treadmarks_body(tmk: &Tmk, p: &BarnesParams) -> f64 {
     let n = p.bodies;
     let nprocs = tmk.nprocs();
     let bodies_addr = tmk.malloc(n * BODY_F64 * 8);
@@ -367,7 +367,7 @@ pub fn treadmarks_body(tmk: &Tmk, p: &BarnesParams) -> f64 {
 }
 
 /// PVM version.
-pub fn pvm_body(pvm: &Pvm, p: &BarnesParams) -> f64 {
+fn pvm_body(pvm: &Pvm, p: &BarnesParams) -> f64 {
     let n = p.bodies;
     let nprocs = pvm.nprocs();
     let me = pvm.id();
@@ -401,56 +401,30 @@ pub fn pvm_body(pvm: &Pvm, p: &BarnesParams) -> f64 {
     checksum(&bodies[mine])
 }
 
-/// Run the TreadMarks version under the default (LRC) protocol.
-pub fn treadmarks(nprocs: usize, p: &BarnesParams) -> AppRun {
-    treadmarks_with(nprocs, p, ProtocolKind::Lrc)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on the
-/// paper's calibrated FDDI testbed.
-pub fn treadmarks_with(nprocs: usize, p: &BarnesParams, protocol: ProtocolKind) -> AppRun {
-    treadmarks_on(&ClusterConfig::calibrated_fddi(nprocs), p, protocol)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on an
-/// arbitrary cluster model (see `cluster::NetPreset` and the scenario
-/// subsystem).
-pub fn treadmarks_on(cfg: &ClusterConfig, p: &BarnesParams, protocol: ProtocolKind) -> AppRun {
-    try_treadmarks_on(cfg, p, protocol).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`treadmarks_on`]: a structured [`RunFailure`]
-/// (deadlock, livelock, or fault-plan crash) comes back as `Err` instead
-/// of a panic, so the fuzzing harness can record it and keep going.
-pub fn try_treadmarks_on(
-    cfg: &ClusterConfig,
-    p: &BarnesParams,
-    protocol: ProtocolKind,
-) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    let heap = (p.bodies * BODY_F64 * 8 + (1 << 20)).next_power_of_two();
-    try_run_treadmarks_on(cfg, heap, protocol, move |tmk| treadmarks_body(tmk, &p))
-}
-
-/// Run the PVM version on the paper's calibrated FDDI testbed.
-pub fn pvm(nprocs: usize, p: &BarnesParams) -> AppRun {
-    pvm_on(&ClusterConfig::calibrated_fddi(nprocs), p)
-}
-
-/// Run the PVM version on an arbitrary cluster model.
-pub fn pvm_on(cfg: &ClusterConfig, p: &BarnesParams) -> AppRun {
-    try_pvm_on(cfg, p).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`pvm_on`]; see [`try_treadmarks_on`].
-pub fn try_pvm_on(cfg: &ClusterConfig, p: &BarnesParams) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    try_run_pvm_on(cfg, move |pvm| pvm_body(pvm, &p))
+/// Run the application on `cfg` under `sys`: the TreadMarks version under
+/// its coherence protocol, or the PVM version.  A structured
+/// [`RunFailure`] (deadlock, livelock, or fault-plan crash) comes back as
+/// `Err`, so the fuzzing harness can record it and keep going.
+pub fn run(cfg: &ClusterConfig, p: &BarnesParams, sys: System) -> Result<AppRun, RunFailure> {
+    match sys {
+        System::TreadMarks(protocol) => {
+            let heap = (p.bodies * BODY_F64 * 8 + (1 << 20)).next_power_of_two();
+            run_treadmarks(cfg, heap, protocol, |tmk| treadmarks_body(tmk, p))
+        }
+        System::Pvm => run_pvm(cfg, |pvm| pvm_body(pvm, p)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treadmarks::ProtocolKind;
+
+    const LRC: System = System::TreadMarks(ProtocolKind::Lrc);
+
+    fn fddi(nprocs: usize, p: &BarnesParams, sys: System) -> AppRun {
+        run(&ClusterConfig::calibrated_fddi(nprocs), p, sys).unwrap()
+    }
 
     #[test]
     fn tree_mass_equals_total_mass() {
@@ -470,8 +444,8 @@ mod tests {
         let p = BarnesParams::tiny();
         let seq = sequential(&p);
         for n in [1, 2, 4] {
-            let t = treadmarks(n, &p);
-            let m = pvm(n, &p);
+            let t = fddi(n, &p, LRC);
+            let m = fddi(n, &p, System::Pvm);
             let tol = seq.checksum.abs() * 1e-9 + 1e-9;
             assert!((t.checksum - seq.checksum).abs() < tol, "TMK n={n}");
             assert!((m.checksum - seq.checksum).abs() < tol, "PVM n={n}");
@@ -483,8 +457,8 @@ mod tests {
         // Broadcast-everything PVM moves whole body arrays; page-based TMK
         // moves diffs but needs many more messages (diff requests).
         let p = BarnesParams::tiny();
-        let t = treadmarks(4, &p);
-        let m = pvm(4, &p);
+        let t = fddi(4, &p, LRC);
+        let m = fddi(4, &p, System::Pvm);
         assert!(t.messages > m.messages, "{} vs {}", t.messages, m.messages);
     }
 }

@@ -11,10 +11,10 @@
 //! Because the communication is negligible relative to the computation, both
 //! systems achieve near-linear speedup (Figure 1 of the paper).
 
-use crate::runner::{block_range, try_run_pvm_on, try_run_treadmarks_on, AppRun, SeqRun};
+use crate::runner::{block_range, run_pvm, run_treadmarks, AppRun, SeqRun, System};
 use cluster::{ClusterConfig, RunFailure};
 use msgpass::Pvm;
-use treadmarks::{ProtocolKind, Tmk};
+use treadmarks::Tmk;
 
 /// Number of annuli tabulated (as in NAS EP).
 pub const BINS: usize = 10;
@@ -155,7 +155,7 @@ fn local_bins(p: &EpParams, rank: usize, nprocs: usize) -> ([i64; BINS], f64) {
 
 /// TreadMarks version: private tabulation, then a lock-protected update of
 /// the shared ten-integer list, then a barrier.
-pub fn treadmarks_body(tmk: &Tmk, p: &EpParams) -> f64 {
+fn treadmarks_body(tmk: &Tmk, p: &EpParams) -> f64 {
     let shared = tmk.malloc(BINS * 8);
     tmk.barrier(0);
     let (bins, cost) = local_bins(p, tmk.id(), tmk.nprocs());
@@ -182,39 +182,9 @@ pub fn treadmarks_body(tmk: &Tmk, p: &EpParams) -> f64 {
     }
 }
 
-/// Run the TreadMarks version under the default (LRC) protocol.
-pub fn treadmarks(nprocs: usize, p: &EpParams) -> AppRun {
-    treadmarks_with(nprocs, p, ProtocolKind::Lrc)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on the
-/// paper's calibrated FDDI testbed.
-pub fn treadmarks_with(nprocs: usize, p: &EpParams, protocol: ProtocolKind) -> AppRun {
-    treadmarks_on(&ClusterConfig::calibrated_fddi(nprocs), p, protocol)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on an
-/// arbitrary cluster model (see `cluster::NetPreset` and the scenario
-/// subsystem).
-pub fn treadmarks_on(cfg: &ClusterConfig, p: &EpParams, protocol: ProtocolKind) -> AppRun {
-    try_treadmarks_on(cfg, p, protocol).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`treadmarks_on`]: a structured [`RunFailure`]
-/// (deadlock, livelock, or fault-plan crash) comes back as `Err` instead
-/// of a panic, so the fuzzing harness can record it and keep going.
-pub fn try_treadmarks_on(
-    cfg: &ClusterConfig,
-    p: &EpParams,
-    protocol: ProtocolKind,
-) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    try_run_treadmarks_on(cfg, 1 << 20, protocol, move |tmk| treadmarks_body(tmk, &p))
-}
-
 /// PVM version: private tabulation; process 0 receives every other process's
 /// list, sums them, and broadcasts the result.
-pub fn pvm_body(pvm: &Pvm, p: &EpParams) -> f64 {
+fn pvm_body(pvm: &Pvm, p: &EpParams) -> f64 {
     let (bins, cost) = local_bins(p, pvm.id(), pvm.nprocs());
     pvm.proc().compute(cost);
     let n = pvm.nprocs();
@@ -248,25 +218,29 @@ pub fn pvm_body(pvm: &Pvm, p: &EpParams) -> f64 {
     }
 }
 
-/// Run the PVM version on the paper's calibrated FDDI testbed.
-pub fn pvm(nprocs: usize, p: &EpParams) -> AppRun {
-    pvm_on(&ClusterConfig::calibrated_fddi(nprocs), p)
-}
-
-/// Run the PVM version on an arbitrary cluster model.
-pub fn pvm_on(cfg: &ClusterConfig, p: &EpParams) -> AppRun {
-    try_pvm_on(cfg, p).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`pvm_on`]; see [`try_treadmarks_on`].
-pub fn try_pvm_on(cfg: &ClusterConfig, p: &EpParams) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    try_run_pvm_on(cfg, move |pvm| pvm_body(pvm, &p))
+/// Run the application on `cfg` under `sys`: the TreadMarks version under
+/// its coherence protocol, or the PVM version.  A structured
+/// [`RunFailure`] (deadlock, livelock, or fault-plan crash) comes back as
+/// `Err`, so the fuzzing harness can record it and keep going.
+pub fn run(cfg: &ClusterConfig, p: &EpParams, sys: System) -> Result<AppRun, RunFailure> {
+    match sys {
+        System::TreadMarks(protocol) => {
+            run_treadmarks(cfg, 1 << 20, protocol, |tmk| treadmarks_body(tmk, p))
+        }
+        System::Pvm => run_pvm(cfg, |pvm| pvm_body(pvm, p)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treadmarks::ProtocolKind;
+
+    const LRC: System = System::TreadMarks(ProtocolKind::Lrc);
+
+    fn fddi(nprocs: usize, p: &EpParams, sys: System) -> AppRun {
+        run(&ClusterConfig::calibrated_fddi(nprocs), p, sys).unwrap()
+    }
 
     #[test]
     fn all_versions_agree_on_the_tabulation() {
@@ -274,8 +248,8 @@ mod tests {
         let seq = sequential(&p);
         assert!(seq.checksum > 0.0);
         for n in [1, 2, 4] {
-            let t = treadmarks(n, &p);
-            let m = pvm(n, &p);
+            let t = fddi(n, &p, LRC);
+            let m = fddi(n, &p, System::Pvm);
             assert_eq!(t.checksum, seq.checksum, "TreadMarks at {n} procs");
             assert_eq!(m.checksum, seq.checksum, "PVM at {n} procs");
         }
@@ -285,8 +259,8 @@ mod tests {
     fn speedup_is_near_linear_for_both_systems() {
         let p = EpParams::scaled();
         let seq = sequential(&p);
-        let t = treadmarks(8, &p);
-        let m = pvm(8, &p);
+        let t = fddi(8, &p, LRC);
+        let m = fddi(8, &p, System::Pvm);
         assert!(
             t.speedup(seq.time) > 5.5,
             "TMK speedup {}",
@@ -302,8 +276,8 @@ mod tests {
     #[test]
     fn communication_is_negligible() {
         let p = EpParams::tiny();
-        let t = treadmarks(4, &p);
-        let m = pvm(4, &p);
+        let t = fddi(4, &p, LRC);
+        let m = fddi(4, &p, System::Pvm);
         // A handful of messages, well under a hundred for either system.
         assert!(t.messages < 100);
         assert!(m.messages < 100);

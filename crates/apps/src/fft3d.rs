@@ -16,10 +16,10 @@
 //!   message, `n * (n - 1)` messages per transpose.  The paper notes this
 //!   index arithmetic made the PVM version considerably harder to write.
 
-use crate::runner::{block_range, try_run_pvm_on, try_run_treadmarks_on, AppRun, SeqRun};
+use crate::runner::{block_range, run_pvm, run_treadmarks, AppRun, SeqRun, System};
 use cluster::{ClusterConfig, RunFailure};
 use msgpass::Pvm;
-use treadmarks::{ProtocolKind, Tmk};
+use treadmarks::Tmk;
 
 /// Cost per complex point per 1-D FFT butterfly level.
 pub const COST_FFT: f64 = 0.09e-6;
@@ -237,7 +237,7 @@ pub fn sequential(p: &FftParams) -> SeqRun {
 }
 
 /// TreadMarks version.
-pub fn treadmarks_body(tmk: &Tmk, p: &FftParams) -> f64 {
+fn treadmarks_body(tmk: &Tmk, p: &FftParams) -> f64 {
     let nprocs = tmk.nprocs();
     let me = tmk.id();
     let elems = p.elems();
@@ -305,7 +305,7 @@ pub fn treadmarks_body(tmk: &Tmk, p: &FftParams) -> f64 {
 }
 
 /// PVM version.
-pub fn pvm_body(pvm: &Pvm, p: &FftParams) -> f64 {
+fn pvm_body(pvm: &Pvm, p: &FftParams) -> f64 {
     let nprocs = pvm.nprocs();
     let me = pvm.id();
     let mut dims = (p.n1, p.n2, p.n3);
@@ -397,56 +397,30 @@ pub fn pvm_body(pvm: &Pvm, p: &FftParams) -> f64 {
     checksum
 }
 
-/// Run the TreadMarks version under the default (LRC) protocol.
-pub fn treadmarks(nprocs: usize, p: &FftParams) -> AppRun {
-    treadmarks_with(nprocs, p, ProtocolKind::Lrc)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on the
-/// paper's calibrated FDDI testbed.
-pub fn treadmarks_with(nprocs: usize, p: &FftParams, protocol: ProtocolKind) -> AppRun {
-    treadmarks_on(&ClusterConfig::calibrated_fddi(nprocs), p, protocol)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on an
-/// arbitrary cluster model (see `cluster::NetPreset` and the scenario
-/// subsystem).
-pub fn treadmarks_on(cfg: &ClusterConfig, p: &FftParams, protocol: ProtocolKind) -> AppRun {
-    try_treadmarks_on(cfg, p, protocol).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`treadmarks_on`]: a structured [`RunFailure`]
-/// (deadlock, livelock, or fault-plan crash) comes back as `Err` instead
-/// of a panic, so the fuzzing harness can record it and keep going.
-pub fn try_treadmarks_on(
-    cfg: &ClusterConfig,
-    p: &FftParams,
-    protocol: ProtocolKind,
-) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    let heap = (p.elems() * 32 + (1 << 20)).next_power_of_two();
-    try_run_treadmarks_on(cfg, heap, protocol, move |tmk| treadmarks_body(tmk, &p))
-}
-
-/// Run the PVM version on the paper's calibrated FDDI testbed.
-pub fn pvm(nprocs: usize, p: &FftParams) -> AppRun {
-    pvm_on(&ClusterConfig::calibrated_fddi(nprocs), p)
-}
-
-/// Run the PVM version on an arbitrary cluster model.
-pub fn pvm_on(cfg: &ClusterConfig, p: &FftParams) -> AppRun {
-    try_pvm_on(cfg, p).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`pvm_on`]; see [`try_treadmarks_on`].
-pub fn try_pvm_on(cfg: &ClusterConfig, p: &FftParams) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    try_run_pvm_on(cfg, move |pvm| pvm_body(pvm, &p))
+/// Run the application on `cfg` under `sys`: the TreadMarks version under
+/// its coherence protocol, or the PVM version.  A structured
+/// [`RunFailure`] (deadlock, livelock, or fault-plan crash) comes back as
+/// `Err`, so the fuzzing harness can record it and keep going.
+pub fn run(cfg: &ClusterConfig, p: &FftParams, sys: System) -> Result<AppRun, RunFailure> {
+    match sys {
+        System::TreadMarks(protocol) => {
+            let heap = (p.elems() * 32 + (1 << 20)).next_power_of_two();
+            run_treadmarks(cfg, heap, protocol, |tmk| treadmarks_body(tmk, p))
+        }
+        System::Pvm => run_pvm(cfg, |pvm| pvm_body(pvm, p)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treadmarks::ProtocolKind;
+
+    const LRC: System = System::TreadMarks(ProtocolKind::Lrc);
+
+    fn fddi(nprocs: usize, p: &FftParams, sys: System) -> AppRun {
+        run(&ClusterConfig::calibrated_fddi(nprocs), p, sys).unwrap()
+    }
 
     #[test]
     fn fft1d_of_constant_signal_concentrates_in_bin_zero() {
@@ -466,8 +440,8 @@ mod tests {
         let p = FftParams::tiny();
         let seq = sequential(&p);
         for n in [1, 2, 4] {
-            let t = treadmarks(n, &p);
-            let m = pvm(n, &p);
+            let t = fddi(n, &p, LRC);
+            let m = fddi(n, &p, System::Pvm);
             let tol = seq.checksum.abs() * 1e-9;
             assert!(
                 (t.checksum - seq.checksum).abs() < tol,
@@ -487,8 +461,8 @@ mod tests {
     #[test]
     fn transpose_dominates_message_counts() {
         let p = FftParams::tiny();
-        let t = treadmarks(4, &p);
-        let m = pvm(4, &p);
+        let t = fddi(4, &p, LRC);
+        let m = fddi(4, &p, System::Pvm);
         // PVM: n*(n-1) messages per transpose (plus nothing else).
         assert!(m.messages as usize >= p.iters * 4 * 3);
         // TreadMarks needs many more messages (one diff request per page).

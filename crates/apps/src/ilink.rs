@@ -22,10 +22,10 @@
 //! (sparse genarrays spanning several pages, per-family re-initialisation) —
 //! see README.md §Design notes.
 
-use crate::runner::{try_run_pvm_on, try_run_treadmarks_on, AppRun, SeqRun};
+use crate::runner::{run_pvm, run_treadmarks, AppRun, SeqRun, System};
 use cluster::{ClusterConfig, RunFailure};
 use msgpass::Pvm;
-use treadmarks::{ProtocolKind, Tmk};
+use treadmarks::Tmk;
 
 /// Cost of updating one non-zero genarray element (conditioning on the rest
 /// of the nuclear family), the dominant computation.
@@ -126,7 +126,7 @@ pub fn sequential(p: &IlinkParams) -> SeqRun {
 }
 
 /// TreadMarks version.
-pub fn treadmarks_body(tmk: &Tmk, p: &IlinkParams) -> f64 {
+fn treadmarks_body(tmk: &Tmk, p: &IlinkParams) -> f64 {
     let n = tmk.nprocs();
     let me = tmk.id();
     let bank = tmk.malloc(p.genarray * 8);
@@ -182,7 +182,7 @@ const TAG_ASSIGN: u32 = 30;
 const TAG_RESULT: u32 = 31;
 
 /// PVM version.
-pub fn pvm_body(pvm: &Pvm, p: &IlinkParams) -> f64 {
+fn pvm_body(pvm: &Pvm, p: &IlinkParams) -> f64 {
     let n = pvm.nprocs();
     let me = pvm.id();
 
@@ -248,64 +248,38 @@ pub fn pvm_body(pvm: &Pvm, p: &IlinkParams) -> f64 {
     }
 }
 
-/// Run the TreadMarks version under the default (LRC) protocol.
-pub fn treadmarks(nprocs: usize, p: &IlinkParams) -> AppRun {
-    treadmarks_with(nprocs, p, ProtocolKind::Lrc)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on the
-/// paper's calibrated FDDI testbed.
-pub fn treadmarks_with(nprocs: usize, p: &IlinkParams, protocol: ProtocolKind) -> AppRun {
-    treadmarks_on(&ClusterConfig::calibrated_fddi(nprocs), p, protocol)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on an
-/// arbitrary cluster model (see `cluster::NetPreset` and the scenario
-/// subsystem).
-pub fn treadmarks_on(cfg: &ClusterConfig, p: &IlinkParams, protocol: ProtocolKind) -> AppRun {
-    try_treadmarks_on(cfg, p, protocol).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`treadmarks_on`]: a structured [`RunFailure`]
-/// (deadlock, livelock, or fault-plan crash) comes back as `Err` instead
-/// of a panic, so the fuzzing harness can record it and keep going.
-pub fn try_treadmarks_on(
-    cfg: &ClusterConfig,
-    p: &IlinkParams,
-    protocol: ProtocolKind,
-) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    let heap = (p.genarray * 8 + (1 << 20)).next_power_of_two();
-    try_run_treadmarks_on(cfg, heap, protocol, move |tmk| treadmarks_body(tmk, &p))
-}
-
-/// Run the PVM version on the paper's calibrated FDDI testbed.
-pub fn pvm(nprocs: usize, p: &IlinkParams) -> AppRun {
-    pvm_on(&ClusterConfig::calibrated_fddi(nprocs), p)
-}
-
-/// Run the PVM version on an arbitrary cluster model.
-pub fn pvm_on(cfg: &ClusterConfig, p: &IlinkParams) -> AppRun {
-    try_pvm_on(cfg, p).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`pvm_on`]; see [`try_treadmarks_on`].
-pub fn try_pvm_on(cfg: &ClusterConfig, p: &IlinkParams) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    try_run_pvm_on(cfg, move |pvm| pvm_body(pvm, &p))
+/// Run the application on `cfg` under `sys`: the TreadMarks version under
+/// its coherence protocol, or the PVM version.  A structured
+/// [`RunFailure`] (deadlock, livelock, or fault-plan crash) comes back as
+/// `Err`, so the fuzzing harness can record it and keep going.
+pub fn run(cfg: &ClusterConfig, p: &IlinkParams, sys: System) -> Result<AppRun, RunFailure> {
+    match sys {
+        System::TreadMarks(protocol) => {
+            let heap = (p.genarray * 8 + (1 << 20)).next_power_of_two();
+            run_treadmarks(cfg, heap, protocol, |tmk| treadmarks_body(tmk, p))
+        }
+        System::Pvm => run_pvm(cfg, |pvm| pvm_body(pvm, p)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treadmarks::ProtocolKind;
+
+    const LRC: System = System::TreadMarks(ProtocolKind::Lrc);
+
+    fn fddi(nprocs: usize, p: &IlinkParams, sys: System) -> AppRun {
+        run(&ClusterConfig::calibrated_fddi(nprocs), p, sys).unwrap()
+    }
 
     #[test]
     fn versions_agree_on_the_likelihood() {
         let p = IlinkParams::tiny();
         let seq = sequential(&p);
         for n in [1, 2, 4] {
-            let t = treadmarks(n, &p);
-            let m = pvm(n, &p);
+            let t = fddi(n, &p, LRC);
+            let m = fddi(n, &p, System::Pvm);
             // Contributions are summed in a different order in the parallel
             // versions, so allow normal floating-point drift.
             let tol = seq.checksum.abs() * 1e-6 + 1e-6;
@@ -333,8 +307,8 @@ mod tests {
         // shared medium by virtual timestamps), so the bracket is tight: the
         // TMK/PVM ratio at this input is ~2.53.
         let p = IlinkParams::tiny();
-        let t = treadmarks(4, &p);
-        let m = pvm(4, &p);
+        let t = fddi(4, &p, LRC);
+        let m = fddi(4, &p, System::Pvm);
         assert!(t.messages > m.messages);
         let ratio = t.time / m.time;
         assert!(

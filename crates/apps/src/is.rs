@@ -19,10 +19,10 @@
 //! large key range (IS-Large, buckets spread over many pages); the large
 //! range is where PVM wins by roughly a factor of two.
 
-use crate::runner::{block_range, try_run_pvm_on, try_run_treadmarks_on, AppRun, SeqRun};
+use crate::runner::{block_range, run_pvm, run_treadmarks, AppRun, SeqRun, System};
 use cluster::{ClusterConfig, RunFailure};
 use msgpass::Pvm;
-use treadmarks::{ProtocolKind, Tmk};
+use treadmarks::Tmk;
 
 /// Cost of counting one key into a bucket.
 pub const COST_COUNT: f64 = 0.045e-6;
@@ -142,7 +142,7 @@ pub fn sequential(p: &IsParams) -> SeqRun {
 }
 
 /// TreadMarks version.
-pub fn treadmarks_body(tmk: &Tmk, p: &IsParams) -> f64 {
+fn treadmarks_body(tmk: &Tmk, p: &IsParams) -> f64 {
     let n = tmk.nprocs();
     let me = tmk.id();
     let my_keys = block_range(p.keys, n, me);
@@ -194,7 +194,7 @@ pub fn treadmarks_body(tmk: &Tmk, p: &IsParams) -> f64 {
 }
 
 /// PVM version.
-pub fn pvm_body(pvm: &Pvm, p: &IsParams) -> f64 {
+fn pvm_body(pvm: &Pvm, p: &IsParams) -> f64 {
     let n = pvm.nprocs();
     let me = pvm.id();
     let my_keys = block_range(p.keys, n, me);
@@ -244,64 +244,38 @@ pub fn pvm_body(pvm: &Pvm, p: &IsParams) -> f64 {
     checksum
 }
 
-/// Run the TreadMarks version under the default (LRC) protocol.
-pub fn treadmarks(nprocs: usize, p: &IsParams) -> AppRun {
-    treadmarks_with(nprocs, p, ProtocolKind::Lrc)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on the
-/// paper's calibrated FDDI testbed.
-pub fn treadmarks_with(nprocs: usize, p: &IsParams, protocol: ProtocolKind) -> AppRun {
-    treadmarks_on(&ClusterConfig::calibrated_fddi(nprocs), p, protocol)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on an
-/// arbitrary cluster model (see `cluster::NetPreset` and the scenario
-/// subsystem).
-pub fn treadmarks_on(cfg: &ClusterConfig, p: &IsParams, protocol: ProtocolKind) -> AppRun {
-    try_treadmarks_on(cfg, p, protocol).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`treadmarks_on`]: a structured [`RunFailure`]
-/// (deadlock, livelock, or fault-plan crash) comes back as `Err` instead
-/// of a panic, so the fuzzing harness can record it and keep going.
-pub fn try_treadmarks_on(
-    cfg: &ClusterConfig,
-    p: &IsParams,
-    protocol: ProtocolKind,
-) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    let heap = (p.buckets * 4 + (1 << 20)).next_power_of_two();
-    try_run_treadmarks_on(cfg, heap, protocol, move |tmk| treadmarks_body(tmk, &p))
-}
-
-/// Run the PVM version on the paper's calibrated FDDI testbed.
-pub fn pvm(nprocs: usize, p: &IsParams) -> AppRun {
-    pvm_on(&ClusterConfig::calibrated_fddi(nprocs), p)
-}
-
-/// Run the PVM version on an arbitrary cluster model.
-pub fn pvm_on(cfg: &ClusterConfig, p: &IsParams) -> AppRun {
-    try_pvm_on(cfg, p).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`pvm_on`]; see [`try_treadmarks_on`].
-pub fn try_pvm_on(cfg: &ClusterConfig, p: &IsParams) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    try_run_pvm_on(cfg, move |pvm| pvm_body(pvm, &p))
+/// Run the application on `cfg` under `sys`: the TreadMarks version under
+/// its coherence protocol, or the PVM version.  A structured
+/// [`RunFailure`] (deadlock, livelock, or fault-plan crash) comes back as
+/// `Err`, so the fuzzing harness can record it and keep going.
+pub fn run(cfg: &ClusterConfig, p: &IsParams, sys: System) -> Result<AppRun, RunFailure> {
+    match sys {
+        System::TreadMarks(protocol) => {
+            let heap = (p.buckets * 4 + (1 << 20)).next_power_of_two();
+            run_treadmarks(cfg, heap, protocol, |tmk| treadmarks_body(tmk, p))
+        }
+        System::Pvm => run_pvm(cfg, |pvm| pvm_body(pvm, p)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treadmarks::ProtocolKind;
+
+    const LRC: System = System::TreadMarks(ProtocolKind::Lrc);
+
+    fn fddi(nprocs: usize, p: &IsParams, sys: System) -> AppRun {
+        run(&ClusterConfig::calibrated_fddi(nprocs), p, sys).unwrap()
+    }
 
     #[test]
     fn versions_agree_on_ranks() {
         let p = IsParams::tiny();
         let seq = sequential(&p);
         for n in [1, 2, 4] {
-            let t = treadmarks(n, &p);
-            let m = pvm(n, &p);
+            let t = fddi(n, &p, LRC);
+            let m = fddi(n, &p, System::Pvm);
             assert_eq!(t.checksum, seq.checksum, "TMK n={n}");
             assert_eq!(m.checksum, seq.checksum, "PVM n={n}");
         }
@@ -310,8 +284,8 @@ mod tests {
     #[test]
     fn treadmarks_sends_far_more_messages_than_pvm() {
         let p = IsParams::tiny();
-        let t = treadmarks(4, &p);
-        let m = pvm(4, &p);
+        let t = fddi(4, &p, LRC);
+        let m = fddi(4, &p, System::Pvm);
         assert!(
             t.messages > 3 * m.messages,
             "TMK {} msgs vs PVM {} msgs",
@@ -338,10 +312,10 @@ mod tests {
             buckets: 1 << 13,
             ..small.clone()
         };
-        let ts = treadmarks(4, &small);
-        let ps = pvm(4, &small);
-        let tl = treadmarks(4, &large);
-        let pl = pvm(4, &large);
+        let ts = fddi(4, &small, LRC);
+        let ps = fddi(4, &small, System::Pvm);
+        let tl = fddi(4, &large, LRC);
+        let pl = fddi(4, &large, System::Pvm);
         let ratio_small = ts.time / ps.time;
         let ratio_large = tl.time / pl.time;
         // Virtual times are bit-deterministic, so the bracket is tight:
@@ -368,10 +342,10 @@ mod tests {
             iters: 2,
             seed: 7,
         };
-        let t2 = treadmarks(2, &p);
-        let p2 = pvm(2, &p);
-        let t6 = treadmarks(6, &p);
-        let p6 = pvm(6, &p);
+        let t2 = fddi(2, &p, LRC);
+        let p2 = fddi(2, &p, System::Pvm);
+        let t6 = fddi(6, &p, LRC);
+        let p6 = fddi(6, &p, System::Pvm);
         let r2 = t2.kilobytes / p2.kilobytes;
         let r6 = t6.kilobytes / p6.kilobytes;
         assert!(r6 > r2, "data ratio at 2 procs {r2}, at 6 procs {r6}");

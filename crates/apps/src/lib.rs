@@ -16,8 +16,8 @@
 //!
 //! Every module follows the same shape: a `*Params` struct with `paper()`,
 //! `scaled()` and `tiny()` presets, a `sequential` reference returning a
-//! [`runner::SeqRun`], and `treadmarks` / `pvm` drivers returning a
-//! [`runner::AppRun`] with the time, message and data metrics the paper's
+//! [`runner::SeqRun`], and one `run(cfg, params, system)` driver returning
+//! a [`runner::AppRun`] with the time, message and data metrics the paper's
 //! tables and figures report.  Computation is charged through a calibrated
 //! work model (see README.md §Design notes) so that speedups are deterministic
 //! and independent of the host machine.

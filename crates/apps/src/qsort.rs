@@ -13,10 +13,10 @@
 //!   work queue; subarray contents travel to a slave and back with every
 //!   task.
 
-use crate::runner::{try_run_pvm_on, try_run_treadmarks_on, AppRun, SeqRun};
+use crate::runner::{run_pvm, run_treadmarks, AppRun, SeqRun, System};
 use cluster::{ClusterConfig, RunFailure};
 use msgpass::Pvm;
-use treadmarks::{ProtocolKind, Tmk};
+use treadmarks::Tmk;
 
 /// Cost per element moved during a partition step.
 pub const COST_PART: f64 = 0.12e-6;
@@ -154,7 +154,7 @@ pub fn sequential(p: &QsortParams) -> SeqRun {
 const LOCK_QUEUE: u32 = 0;
 
 /// TreadMarks version.
-pub fn treadmarks_body(tmk: &Tmk, p: &QsortParams) -> f64 {
+fn treadmarks_body(tmk: &Tmk, p: &QsortParams) -> f64 {
     let data_addr = tmk.malloc(p.elems * 4);
     let qlen_addr = tmk.malloc(4);
     let outstanding_addr = tmk.malloc(4);
@@ -240,7 +240,7 @@ const TAG_RESULT: u32 = 23;
 
 /// PVM version: the master owns the array and queue; subarrays travel to the
 /// slaves and back.
-pub fn pvm_body(pvm: &Pvm, p: &QsortParams) -> f64 {
+fn pvm_body(pvm: &Pvm, p: &QsortParams) -> f64 {
     let n = pvm.nprocs();
     if pvm.id() == 0 {
         let mut data = p.input();
@@ -388,56 +388,30 @@ pub fn pvm_body(pvm: &Pvm, p: &QsortParams) -> f64 {
     }
 }
 
-/// Run the TreadMarks version under the default (LRC) protocol.
-pub fn treadmarks(nprocs: usize, p: &QsortParams) -> AppRun {
-    treadmarks_with(nprocs, p, ProtocolKind::Lrc)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on the
-/// paper's calibrated FDDI testbed.
-pub fn treadmarks_with(nprocs: usize, p: &QsortParams, protocol: ProtocolKind) -> AppRun {
-    treadmarks_on(&ClusterConfig::calibrated_fddi(nprocs), p, protocol)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on an
-/// arbitrary cluster model (see `cluster::NetPreset` and the scenario
-/// subsystem).
-pub fn treadmarks_on(cfg: &ClusterConfig, p: &QsortParams, protocol: ProtocolKind) -> AppRun {
-    try_treadmarks_on(cfg, p, protocol).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`treadmarks_on`]: a structured [`RunFailure`]
-/// (deadlock, livelock, or fault-plan crash) comes back as `Err` instead
-/// of a panic, so the fuzzing harness can record it and keep going.
-pub fn try_treadmarks_on(
-    cfg: &ClusterConfig,
-    p: &QsortParams,
-    protocol: ProtocolKind,
-) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    let heap = (p.elems * 4 + QUEUE_CAP * 8 + (1 << 20)).next_power_of_two();
-    try_run_treadmarks_on(cfg, heap, protocol, move |tmk| treadmarks_body(tmk, &p))
-}
-
-/// Run the PVM version on the paper's calibrated FDDI testbed.
-pub fn pvm(nprocs: usize, p: &QsortParams) -> AppRun {
-    pvm_on(&ClusterConfig::calibrated_fddi(nprocs), p)
-}
-
-/// Run the PVM version on an arbitrary cluster model.
-pub fn pvm_on(cfg: &ClusterConfig, p: &QsortParams) -> AppRun {
-    try_pvm_on(cfg, p).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`pvm_on`]; see [`try_treadmarks_on`].
-pub fn try_pvm_on(cfg: &ClusterConfig, p: &QsortParams) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    try_run_pvm_on(cfg, move |pvm| pvm_body(pvm, &p))
+/// Run the application on `cfg` under `sys`: the TreadMarks version under
+/// its coherence protocol, or the PVM version.  A structured
+/// [`RunFailure`] (deadlock, livelock, or fault-plan crash) comes back as
+/// `Err`, so the fuzzing harness can record it and keep going.
+pub fn run(cfg: &ClusterConfig, p: &QsortParams, sys: System) -> Result<AppRun, RunFailure> {
+    match sys {
+        System::TreadMarks(protocol) => {
+            let heap = (p.elems * 4 + QUEUE_CAP * 8 + (1 << 20)).next_power_of_two();
+            run_treadmarks(cfg, heap, protocol, |tmk| treadmarks_body(tmk, p))
+        }
+        System::Pvm => run_pvm(cfg, |pvm| pvm_body(pvm, p)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treadmarks::ProtocolKind;
+
+    const LRC: System = System::TreadMarks(ProtocolKind::Lrc);
+
+    fn fddi(nprocs: usize, p: &QsortParams, sys: System) -> AppRun {
+        run(&ClusterConfig::calibrated_fddi(nprocs), p, sys).unwrap()
+    }
 
     #[test]
     fn sequential_sorts_correctly() {
@@ -454,8 +428,8 @@ mod tests {
         let p = QsortParams::tiny();
         let seq = sequential(&p);
         for n in [1, 2, 4] {
-            let t = treadmarks(n, &p);
-            let m = pvm(n, &p);
+            let t = fddi(n, &p, LRC);
+            let m = fddi(n, &p, System::Pvm);
             assert_eq!(t.checksum, seq.checksum, "TMK n={n}");
             assert_eq!(m.checksum, seq.checksum, "PVM n={n}");
         }
@@ -468,8 +442,8 @@ mod tests {
             threshold: 256,
             seed: 7,
         };
-        let t = treadmarks(4, &p);
-        let m = pvm(4, &p);
+        let t = fddi(4, &p, LRC);
+        let m = fddi(4, &p, System::Pvm);
         assert!(
             t.messages > m.messages,
             "TMK {} msgs vs PVM {}",

@@ -116,58 +116,15 @@ impl AppRun {
     }
 }
 
-/// Run `body` on `nprocs` TreadMarks processes over the calibrated FDDI
-/// cluster under the default (LRC) protocol.  See
-/// [`run_treadmarks_with`].
-pub fn run_treadmarks<F>(nprocs: usize, heap_bytes: usize, body: F) -> AppRun
-where
-    F: Fn(&Tmk) -> f64 + Send + Sync,
-{
-    run_treadmarks_with(nprocs, heap_bytes, ProtocolKind::Lrc, body)
-}
-
-/// Run `body` on `nprocs` TreadMarks processes over the calibrated FDDI
-/// cluster under the given coherence protocol.  Convenience wrapper over
-/// [`run_treadmarks_on`] for the paper's own testbed.
-pub fn run_treadmarks_with<F>(
-    nprocs: usize,
-    heap_bytes: usize,
-    protocol: ProtocolKind,
-    body: F,
-) -> AppRun
-where
-    F: Fn(&Tmk) -> f64 + Send + Sync,
-{
-    run_treadmarks_on(
-        &ClusterConfig::calibrated_fddi(nprocs),
-        heap_bytes,
-        protocol,
-        body,
-    )
-}
-
-/// Run `body` on TreadMarks processes over an arbitrary cluster model —
-/// the scenario subsystem's entry point — under the given coherence
-/// protocol, and gather the paper's metrics.  The body returns the
-/// process's local checksum *contribution*; the contributions are summed
-/// into the run's checksum (so a gather that the paper's programs do not
-/// perform is not needed just for validation).
-pub fn run_treadmarks_on<F>(
-    cfg: &ClusterConfig,
-    heap_bytes: usize,
-    protocol: ProtocolKind,
-    body: F,
-) -> AppRun
-where
-    F: Fn(&Tmk) -> f64 + Send + Sync,
-{
-    try_run_treadmarks_on(cfg, heap_bytes, protocol, body).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// As [`run_treadmarks_on`], but a structured [`RunFailure`] — a deadlock,
-/// livelock, or fault-plan crash — comes back as an `Err` instead of a
-/// panic, so the fuzzing harness can classify it as a finding and continue.
-pub fn try_run_treadmarks_on<F>(
+/// Run `body` on TreadMarks processes over an arbitrary cluster model under
+/// the given coherence protocol, and gather the paper's metrics.  The body
+/// returns the process's local checksum *contribution*; the contributions
+/// are summed into the run's checksum (so a gather that the paper's
+/// programs do not perform is not needed just for validation).  A
+/// structured [`RunFailure`] — a deadlock, livelock, or fault-plan crash —
+/// comes back as an `Err` instead of a panic, so the fuzzing harness can
+/// classify it as a finding and continue.
+pub fn run_treadmarks<F>(
     cfg: &ClusterConfig,
     heap_bytes: usize,
     protocol: ProtocolKind,
@@ -228,27 +185,9 @@ where
     })
 }
 
-/// Run `body` on `nprocs` PVM processes over the calibrated FDDI cluster.
-/// Convenience wrapper over [`run_pvm_on`] for the paper's own testbed.
-pub fn run_pvm<F>(nprocs: usize, body: F) -> AppRun
-where
-    F: Fn(&Pvm) -> f64 + Send + Sync,
-{
-    run_pvm_on(&ClusterConfig::calibrated_fddi(nprocs), body)
-}
-
-/// Run `body` on PVM processes over an arbitrary cluster model — the
-/// scenario subsystem's entry point — and gather the paper's metrics.
-pub fn run_pvm_on<F>(cfg: &ClusterConfig, body: F) -> AppRun
-where
-    F: Fn(&Pvm) -> f64 + Send + Sync,
-{
-    try_run_pvm_on(cfg, body).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// As [`run_pvm_on`], but a structured [`RunFailure`] comes back as an
-/// `Err` instead of a panic.  See [`try_run_treadmarks_on`].
-pub fn try_run_pvm_on<F>(cfg: &ClusterConfig, body: F) -> Result<AppRun, RunFailure>
+/// Run `body` on PVM processes over an arbitrary cluster model and gather
+/// the paper's metrics.  Failures come back as in [`run_treadmarks`].
+pub fn run_pvm<F>(cfg: &ClusterConfig, body: F) -> Result<AppRun, RunFailure>
 where
     F: Fn(&Pvm) -> f64 + Send + Sync,
 {
@@ -395,7 +334,8 @@ mod tests {
 
     #[test]
     fn treadmarks_runner_reports_messages() {
-        let run = run_treadmarks(2, 1 << 20, |tmk| {
+        let fddi = ClusterConfig::calibrated_fddi(2);
+        let run = run_treadmarks(&fddi, 1 << 20, ProtocolKind::Lrc, |tmk| {
             let a = tmk.malloc(8);
             if tmk.id() == 0 {
                 tmk.write_f64(a, 7.0);
@@ -406,7 +346,8 @@ mod tests {
             } else {
                 0.0
             }
-        });
+        })
+        .unwrap();
         assert_eq!(run.checksum, 7.0);
         assert!(run.messages > 0);
         assert!(run.time > 0.0);
@@ -432,13 +373,9 @@ mod tests {
                 0.0
             }
         };
-        let slow = run_treadmarks_on(
-            &ClusterConfig::ethernet_10mbit(2),
-            1 << 20,
-            ProtocolKind::Lrc,
-            body,
-        );
-        let fast = run_treadmarks_on(&ClusterConfig::ideal(2), 1 << 20, ProtocolKind::Lrc, body);
+        let lrc = |cfg: &ClusterConfig| run_treadmarks(cfg, 1 << 20, ProtocolKind::Lrc, body);
+        let slow = lrc(&ClusterConfig::ethernet_10mbit(2)).unwrap();
+        let fast = lrc(&ClusterConfig::ideal(2)).unwrap();
         assert_eq!(slow.checksum, 7.0);
         assert_eq!(fast.checksum, 7.0);
         assert!(
@@ -447,7 +384,7 @@ mod tests {
             slow.time,
             fast.time
         );
-        let pvm_run = run_pvm_on(&ClusterConfig::atm_155mbit(2), |pvm| {
+        let pvm_run = run_pvm(&ClusterConfig::atm_155mbit(2), |pvm| {
             if pvm.id() == 0 {
                 let mut b = pvm.new_buffer();
                 b.pack_f64(&[2.5]);
@@ -456,14 +393,15 @@ mod tests {
             } else {
                 pvm.recv(Some(0), 1).unpack_f64(1)[0]
             }
-        });
+        })
+        .unwrap();
         assert_eq!(pvm_run.checksum, 2.5);
         assert_eq!(pvm_run.nprocs, 2);
     }
 
     #[test]
     fn pvm_runner_reports_user_messages() {
-        let run = run_pvm(2, |pvm| {
+        let run = run_pvm(&ClusterConfig::calibrated_fddi(2), |pvm| {
             if pvm.id() == 0 {
                 let mut b = pvm.new_buffer();
                 b.pack_f64(&[3.5]);
@@ -472,7 +410,8 @@ mod tests {
             } else {
                 pvm.recv(Some(0), 1).unpack_f64(1)[0]
             }
-        });
+        })
+        .unwrap();
         assert_eq!(run.checksum, 3.5);
         assert_eq!(run.messages, 1);
         assert!((run.kilobytes - 8.0 / 1024.0).abs() < 1e-9);

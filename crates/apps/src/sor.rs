@@ -17,10 +17,10 @@
 //! The row width is chosen so that one shared row occupies one and a half
 //! pages, as in the paper.
 
-use crate::runner::{block_range, try_run_pvm_on, try_run_treadmarks_on, AppRun, SeqRun};
+use crate::runner::{block_range, run_pvm, run_treadmarks, AppRun, SeqRun, System};
 use cluster::{ClusterConfig, RunFailure};
 use msgpass::Pvm;
-use treadmarks::{ProtocolKind, Tmk};
+use treadmarks::Tmk;
 
 /// Cost of updating one element whose stencil inputs are non-zero.
 pub const COST_NONZERO: f64 = 0.30e-6;
@@ -153,7 +153,7 @@ pub fn sequential(p: &SorParams) -> SeqRun {
 }
 
 /// TreadMarks version: shared red/black arrays, barrier-separated phases.
-pub fn treadmarks_body(tmk: &Tmk, p: &SorParams) -> f64 {
+fn treadmarks_body(tmk: &Tmk, p: &SorParams) -> f64 {
     let elems = p.rows * p.cols;
     let red_addr = tmk.malloc(elems * 4);
     let black_addr = tmk.malloc(elems * 4);
@@ -250,7 +250,7 @@ struct Band {
 }
 
 /// PVM version: private bands, explicit boundary-row exchange each phase.
-pub fn pvm_body(pvm: &Pvm, p: &SorParams) -> f64 {
+fn pvm_body(pvm: &Pvm, p: &SorParams) -> f64 {
     let n = pvm.nprocs();
     let me = pvm.id();
     let my_rows = block_range(p.rows, n, me);
@@ -356,56 +356,30 @@ pub fn pvm_body(pvm: &Pvm, p: &SorParams) -> f64 {
     )
 }
 
-/// Run the TreadMarks version under the default (LRC) protocol.
-pub fn treadmarks(nprocs: usize, p: &SorParams) -> AppRun {
-    treadmarks_with(nprocs, p, ProtocolKind::Lrc)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on the
-/// paper's calibrated FDDI testbed.
-pub fn treadmarks_with(nprocs: usize, p: &SorParams, protocol: ProtocolKind) -> AppRun {
-    treadmarks_on(&ClusterConfig::calibrated_fddi(nprocs), p, protocol)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on an
-/// arbitrary cluster model (see `cluster::NetPreset` and the scenario
-/// subsystem).
-pub fn treadmarks_on(cfg: &ClusterConfig, p: &SorParams, protocol: ProtocolKind) -> AppRun {
-    try_treadmarks_on(cfg, p, protocol).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`treadmarks_on`]: a structured [`RunFailure`]
-/// (deadlock, livelock, or fault-plan crash) comes back as `Err` instead
-/// of a panic, so the fuzzing harness can record it and keep going.
-pub fn try_treadmarks_on(
-    cfg: &ClusterConfig,
-    p: &SorParams,
-    protocol: ProtocolKind,
-) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    let heap = (p.rows * p.cols * 8 + (1 << 20)).next_power_of_two();
-    try_run_treadmarks_on(cfg, heap, protocol, move |tmk| treadmarks_body(tmk, &p))
-}
-
-/// Run the PVM version on the paper's calibrated FDDI testbed.
-pub fn pvm(nprocs: usize, p: &SorParams) -> AppRun {
-    pvm_on(&ClusterConfig::calibrated_fddi(nprocs), p)
-}
-
-/// Run the PVM version on an arbitrary cluster model.
-pub fn pvm_on(cfg: &ClusterConfig, p: &SorParams) -> AppRun {
-    try_pvm_on(cfg, p).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`pvm_on`]; see [`try_treadmarks_on`].
-pub fn try_pvm_on(cfg: &ClusterConfig, p: &SorParams) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    try_run_pvm_on(cfg, move |pvm| pvm_body(pvm, &p))
+/// Run the application on `cfg` under `sys`: the TreadMarks version under
+/// its coherence protocol, or the PVM version.  A structured
+/// [`RunFailure`] (deadlock, livelock, or fault-plan crash) comes back as
+/// `Err`, so the fuzzing harness can record it and keep going.
+pub fn run(cfg: &ClusterConfig, p: &SorParams, sys: System) -> Result<AppRun, RunFailure> {
+    match sys {
+        System::TreadMarks(protocol) => {
+            let heap = (p.rows * p.cols * 8 + (1 << 20)).next_power_of_two();
+            run_treadmarks(cfg, heap, protocol, |tmk| treadmarks_body(tmk, p))
+        }
+        System::Pvm => run_pvm(cfg, |pvm| pvm_body(pvm, p)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treadmarks::ProtocolKind;
+
+    const LRC: System = System::TreadMarks(ProtocolKind::Lrc);
+
+    fn fddi(nprocs: usize, p: &SorParams, sys: System) -> AppRun {
+        run(&ClusterConfig::calibrated_fddi(nprocs), p, sys).unwrap()
+    }
 
     #[test]
     fn versions_agree_on_small_grids() {
@@ -413,8 +387,8 @@ mod tests {
             let p = SorParams::tiny(zero);
             let seq = sequential(&p);
             for n in [1, 2, 3] {
-                let t = treadmarks(n, &p);
-                let m = pvm(n, &p);
+                let t = fddi(n, &p, LRC);
+                let m = fddi(n, &p, System::Pvm);
                 assert!(
                     (t.checksum - seq.checksum).abs() < 1e-3,
                     "TMK zero={zero} n={n}: {} vs {}",
@@ -449,8 +423,8 @@ mod tests {
             iters: 3,
             zero_interior: true,
         };
-        let t = treadmarks(4, &p);
-        let m = pvm(4, &p);
+        let t = fddi(4, &p, LRC);
+        let m = fddi(4, &p, System::Pvm);
         assert!(
             t.kilobytes < m.kilobytes,
             "TMK {} KB vs PVM {} KB",
@@ -475,8 +449,8 @@ mod tests {
         };
         let sz = sequential(&pz);
         let sn = sequential(&pn);
-        let tz = treadmarks(4, &pz);
-        let tn = treadmarks(4, &pn);
+        let tz = fddi(4, &pz, LRC);
+        let tn = fddi(4, &pn, LRC);
         for (name, speedup) in [
             ("zero", tz.speedup(sz.time)),
             ("nonzero", tn.speedup(sn.time)),

@@ -17,10 +17,10 @@
 //!   behalf of the slaves, and tracks the best tour; slaves only exchange
 //!   solvable tours and best-tour updates with the master.
 
-use crate::runner::{try_run_pvm_on, try_run_treadmarks_on, AppRun, SeqRun};
+use crate::runner::{run_pvm, run_treadmarks, AppRun, SeqRun, System};
 use cluster::{ClusterConfig, RunFailure};
 use msgpass::Pvm;
-use treadmarks::{ProtocolKind, Tmk};
+use treadmarks::Tmk;
 
 /// Cost charged per node visited in `recursive_solve`.
 pub const COST_NODE: f64 = 1.1e-6;
@@ -376,7 +376,7 @@ impl SharedTsp {
 
 /// TreadMarks version: shared pool / queue / free-stack / best, lock-guarded
 /// `get_tour`, private `recursive_solve`.
-pub fn treadmarks_body(tmk: &Tmk, p: &TspParams) -> f64 {
+fn treadmarks_body(tmk: &Tmk, p: &TspParams) -> f64 {
     let dist = p.distances();
     let nc = p.cities;
     let sh = SharedTsp::alloc(tmk);
@@ -528,7 +528,7 @@ const TAG_NOWORK: u32 = 12;
 const TAG_BEST: u32 = 13;
 
 /// PVM version: master/slave; the master (process 0) also runs a slave.
-pub fn pvm_body(pvm: &Pvm, p: &TspParams) -> f64 {
+fn pvm_body(pvm: &Pvm, p: &TspParams) -> f64 {
     let dist = p.distances();
     let nc = p.cities;
     let n = pvm.nprocs();
@@ -624,56 +624,30 @@ pub fn pvm_body(pvm: &Pvm, p: &TspParams) -> f64 {
     }
 }
 
-/// Run the TreadMarks version under the default (LRC) protocol.
-pub fn treadmarks(nprocs: usize, p: &TspParams) -> AppRun {
-    treadmarks_with(nprocs, p, ProtocolKind::Lrc)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on the
-/// paper's calibrated FDDI testbed.
-pub fn treadmarks_with(nprocs: usize, p: &TspParams, protocol: ProtocolKind) -> AppRun {
-    treadmarks_on(&ClusterConfig::calibrated_fddi(nprocs), p, protocol)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on an
-/// arbitrary cluster model (see `cluster::NetPreset` and the scenario
-/// subsystem).
-pub fn treadmarks_on(cfg: &ClusterConfig, p: &TspParams, protocol: ProtocolKind) -> AppRun {
-    try_treadmarks_on(cfg, p, protocol).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`treadmarks_on`]: a structured [`RunFailure`]
-/// (deadlock, livelock, or fault-plan crash) comes back as `Err` instead
-/// of a panic, so the fuzzing harness can record it and keep going.
-pub fn try_treadmarks_on(
-    cfg: &ClusterConfig,
-    p: &TspParams,
-    protocol: ProtocolKind,
-) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    let heap = (POOL_SLOTS * (SLOT_BYTES + 16) + (1 << 20)).next_power_of_two();
-    try_run_treadmarks_on(cfg, heap, protocol, move |tmk| treadmarks_body(tmk, &p))
-}
-
-/// Run the PVM version on the paper's calibrated FDDI testbed.
-pub fn pvm(nprocs: usize, p: &TspParams) -> AppRun {
-    pvm_on(&ClusterConfig::calibrated_fddi(nprocs), p)
-}
-
-/// Run the PVM version on an arbitrary cluster model.
-pub fn pvm_on(cfg: &ClusterConfig, p: &TspParams) -> AppRun {
-    try_pvm_on(cfg, p).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`pvm_on`]; see [`try_treadmarks_on`].
-pub fn try_pvm_on(cfg: &ClusterConfig, p: &TspParams) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    try_run_pvm_on(cfg, move |pvm| pvm_body(pvm, &p))
+/// Run the application on `cfg` under `sys`: the TreadMarks version under
+/// its coherence protocol, or the PVM version.  A structured
+/// [`RunFailure`] (deadlock, livelock, or fault-plan crash) comes back as
+/// `Err`, so the fuzzing harness can record it and keep going.
+pub fn run(cfg: &ClusterConfig, p: &TspParams, sys: System) -> Result<AppRun, RunFailure> {
+    match sys {
+        System::TreadMarks(protocol) => {
+            let heap = (POOL_SLOTS * (SLOT_BYTES + 16) + (1 << 20)).next_power_of_two();
+            run_treadmarks(cfg, heap, protocol, |tmk| treadmarks_body(tmk, p))
+        }
+        System::Pvm => run_pvm(cfg, |pvm| pvm_body(pvm, p)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treadmarks::ProtocolKind;
+
+    const LRC: System = System::TreadMarks(ProtocolKind::Lrc);
+
+    fn fddi(nprocs: usize, p: &TspParams, sys: System) -> AppRun {
+        run(&ClusterConfig::calibrated_fddi(nprocs), p, sys).unwrap()
+    }
 
     #[test]
     fn branch_and_bound_finds_the_optimum_of_a_small_instance() {
@@ -714,8 +688,8 @@ mod tests {
         let p = TspParams::tiny();
         let seq = sequential(&p);
         for n in [1, 2, 4] {
-            let t = treadmarks(n, &p);
-            let m = pvm(n, &p);
+            let t = fddi(n, &p, LRC);
+            let m = fddi(n, &p, System::Pvm);
             assert!((t.checksum - seq.checksum).abs() < 1e-3, "TMK n={n}");
             assert!((m.checksum - seq.checksum).abs() < 1e-3, "PVM n={n}");
         }
@@ -730,8 +704,8 @@ mod tests {
             threshold: 6,
             seed: 99,
         };
-        let t = treadmarks(4, &p);
-        let m = pvm(4, &p);
+        let t = fddi(4, &p, LRC);
+        let m = fddi(4, &p, System::Pvm);
         assert!(t.messages > m.messages, "{} vs {}", t.messages, m.messages);
         assert!(
             t.kilobytes > m.kilobytes,

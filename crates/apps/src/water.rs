@@ -15,10 +15,10 @@
 //!   their accumulated force contributions to the owners afterwards — two
 //!   user-level messages per pair of interacting processes.
 
-use crate::runner::{block_range, try_run_pvm_on, try_run_treadmarks_on, AppRun, SeqRun};
+use crate::runner::{block_range, run_pvm, run_treadmarks, AppRun, SeqRun, System};
 use cluster::{ClusterConfig, RunFailure};
 use msgpass::Pvm;
-use treadmarks::{ProtocolKind, Tmk};
+use treadmarks::Tmk;
 
 /// Cost per molecule pair examined in the force phase.
 pub const COST_PAIR: f64 = 1.6e-6;
@@ -158,7 +158,7 @@ pub fn sequential(p: &WaterParams) -> SeqRun {
 }
 
 /// TreadMarks version.
-pub fn treadmarks_body(tmk: &Tmk, p: &WaterParams) -> f64 {
+fn treadmarks_body(tmk: &Tmk, p: &WaterParams) -> f64 {
     let n = p.molecules;
     let nprocs = tmk.nprocs();
     // Shared arrays: positions (3 f64 per molecule) and forces (3 f64).
@@ -236,7 +236,7 @@ pub fn treadmarks_body(tmk: &Tmk, p: &WaterParams) -> f64 {
 }
 
 /// PVM version.
-pub fn pvm_body(pvm: &Pvm, p: &WaterParams) -> f64 {
+fn pvm_body(pvm: &Pvm, p: &WaterParams) -> f64 {
     let n = p.molecules;
     let nprocs = pvm.nprocs();
     let me = pvm.id();
@@ -311,64 +311,38 @@ pub fn pvm_body(pvm: &Pvm, p: &WaterParams) -> f64 {
     positions_checksum(&own)
 }
 
-/// Run the TreadMarks version under the default (LRC) protocol.
-pub fn treadmarks(nprocs: usize, p: &WaterParams) -> AppRun {
-    treadmarks_with(nprocs, p, ProtocolKind::Lrc)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on the
-/// paper's calibrated FDDI testbed.
-pub fn treadmarks_with(nprocs: usize, p: &WaterParams, protocol: ProtocolKind) -> AppRun {
-    treadmarks_on(&ClusterConfig::calibrated_fddi(nprocs), p, protocol)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on an
-/// arbitrary cluster model (see `cluster::NetPreset` and the scenario
-/// subsystem).
-pub fn treadmarks_on(cfg: &ClusterConfig, p: &WaterParams, protocol: ProtocolKind) -> AppRun {
-    try_treadmarks_on(cfg, p, protocol).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`treadmarks_on`]: a structured [`RunFailure`]
-/// (deadlock, livelock, or fault-plan crash) comes back as `Err` instead
-/// of a panic, so the fuzzing harness can record it and keep going.
-pub fn try_treadmarks_on(
-    cfg: &ClusterConfig,
-    p: &WaterParams,
-    protocol: ProtocolKind,
-) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    let heap = (p.molecules * 48 + (1 << 20)).next_power_of_two();
-    try_run_treadmarks_on(cfg, heap, protocol, move |tmk| treadmarks_body(tmk, &p))
-}
-
-/// Run the PVM version on the paper's calibrated FDDI testbed.
-pub fn pvm(nprocs: usize, p: &WaterParams) -> AppRun {
-    pvm_on(&ClusterConfig::calibrated_fddi(nprocs), p)
-}
-
-/// Run the PVM version on an arbitrary cluster model.
-pub fn pvm_on(cfg: &ClusterConfig, p: &WaterParams) -> AppRun {
-    try_pvm_on(cfg, p).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`pvm_on`]; see [`try_treadmarks_on`].
-pub fn try_pvm_on(cfg: &ClusterConfig, p: &WaterParams) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    try_run_pvm_on(cfg, move |pvm| pvm_body(pvm, &p))
+/// Run the application on `cfg` under `sys`: the TreadMarks version under
+/// its coherence protocol, or the PVM version.  A structured
+/// [`RunFailure`] (deadlock, livelock, or fault-plan crash) comes back as
+/// `Err`, so the fuzzing harness can record it and keep going.
+pub fn run(cfg: &ClusterConfig, p: &WaterParams, sys: System) -> Result<AppRun, RunFailure> {
+    match sys {
+        System::TreadMarks(protocol) => {
+            let heap = (p.molecules * 48 + (1 << 20)).next_power_of_two();
+            run_treadmarks(cfg, heap, protocol, |tmk| treadmarks_body(tmk, p))
+        }
+        System::Pvm => run_pvm(cfg, |pvm| pvm_body(pvm, p)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treadmarks::ProtocolKind;
+
+    const LRC: System = System::TreadMarks(ProtocolKind::Lrc);
+
+    fn fddi(nprocs: usize, p: &WaterParams, sys: System) -> AppRun {
+        run(&ClusterConfig::calibrated_fddi(nprocs), p, sys).unwrap()
+    }
 
     #[test]
     fn versions_agree_on_final_positions() {
         let p = WaterParams::tiny();
         let seq = sequential(&p);
         for n in [1, 2, 4] {
-            let t = treadmarks(n, &p);
-            let m = pvm(n, &p);
+            let t = fddi(n, &p, LRC);
+            let m = fddi(n, &p, System::Pvm);
             // Force contributions are summed in a different order in the
             // parallel versions, so allow normal floating-point drift.
             let tol = seq.checksum.abs() * 1e-6 + 1e-6;
@@ -399,8 +373,8 @@ mod tests {
             molecules: 384,
             steps: 2,
         };
-        let rs = treadmarks(4, &small).time / pvm(4, &small).time;
-        let rl = treadmarks(4, &large).time / pvm(4, &large).time;
+        let rs = fddi(4, &small, LRC).time / fddi(4, &small, System::Pvm).time;
+        let rl = fddi(4, &large, LRC).time / fddi(4, &large, System::Pvm).time;
         assert!(rl < rs, "ratio small {rs}, large {rl}");
     }
 }

@@ -6,7 +6,8 @@
 
 use apps::runner::System;
 use apps::Workload;
-use bench::{run_parallel, Preset};
+use bench::{run_parallel_on, Preset};
+use cluster::ClusterConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_apps(c: &mut Criterion) {
@@ -14,12 +15,13 @@ fn bench_apps(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(300));
+    let cfg = ClusterConfig::calibrated_fddi(4);
     for w in Workload::all() {
         for sys in System::all() {
             group.bench_with_input(
                 BenchmarkId::new(w.name(), sys.to_string()),
                 &(w, sys),
-                |b, &(w, sys)| b.iter(|| run_parallel(w, sys, 4, Preset::Tiny)),
+                |b, &(w, sys)| b.iter(|| run_parallel_on(w, sys, &cfg, Preset::Tiny)),
             );
         }
     }

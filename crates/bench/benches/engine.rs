@@ -16,7 +16,8 @@
 
 use apps::runner::System;
 use apps::Workload;
-use bench::{exec, run_matrix, run_parallel, Preset, RunKey};
+use bench::{exec, run_matrix, run_parallel_on, Preset, RunKey};
+use cluster::ClusterConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 use treadmarks::ProtocolKind;
@@ -38,6 +39,7 @@ fn engine_throughput(c: &mut Criterion) {
     ];
     for (w, sys, n) in configs {
         let label = format!("engine/{}/{sys}/{n}p", w.name());
+        let cfg = ClusterConfig::calibrated_fddi(n);
         // Explicit throughput numbers (criterion's shim prints only times).
         // lint:allow(wall-clock): benchmark measures this machine's throughput
         let started = Instant::now();
@@ -45,7 +47,7 @@ fn engine_throughput(c: &mut Criterion) {
         let mut events = 0u64;
         let mut virtual_seconds = 0.0;
         for _ in 0..iters {
-            let run = run_parallel(w, sys, n, Preset::Tiny);
+            let run = run_parallel_on(w, sys, &cfg, Preset::Tiny);
             events += transport_messages(&run);
             virtual_seconds += run.time;
         }
@@ -55,7 +57,9 @@ fn engine_throughput(c: &mut Criterion) {
             events as f64 / wall,
             virtual_seconds / wall
         );
-        c.bench_function(&label, |b| b.iter(|| run_parallel(w, sys, n, Preset::Tiny)));
+        c.bench_function(&label, |b| {
+            b.iter(|| run_parallel_on(w, sys, &cfg, Preset::Tiny))
+        });
     }
 }
 

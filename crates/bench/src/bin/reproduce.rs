@@ -268,11 +268,9 @@ fn json_dump(
 fn bench_report(matrix: &RunMatrix, tuning: &RunTuning, jobs: usize, wall_seconds: f64) -> String {
     let mut events = 0u64; // transport messages processed (sent == consumed)
     let mut virtual_seconds = 0.0f64;
-    let mut checksum_xor = 0u64;
     for (_, run) in matrix.runs() {
         events += run.proc_stats.iter().map(|s| s.messages_sent).sum::<u64>();
         virtual_seconds += run.time;
-        checksum_xor ^= run.checksum.to_bits();
     }
     // The tuning stamps appear only when non-default, so an untuned report
     // stays byte-identical to every report the harness ever produced.
@@ -289,7 +287,7 @@ fn bench_report(matrix: &RunMatrix, tuning: &RunTuning, jobs: usize, wall_second
     format!(
         "{{\n  \"preset\": \"{:?}\",\n  \"deterministic\": {{\n{tuning_fields}    \"runs\": {},\n    \
          \"total_messages\": {},\n    \"total_virtual_seconds\": {},\n    \
-         \"total_virtual_seconds_bits\": \"{:016x}\",\n    \"checksum_bits_xor\": \"{:016x}\"\n  }},\n  \
+         \"total_virtual_seconds_bits\": \"{:016x}\",\n    \"fingerprint\": \"{:016x}\"\n  }},\n  \
          \"timing\": {{\n    \"jobs\": {},\n    \"wall_seconds\": {:.3},\n    \
          \"events_per_second\": {:.0},\n    \"virtual_seconds_per_wall_second\": {:.2}\n  }}\n}}\n",
         matrix.preset,
@@ -297,7 +295,7 @@ fn bench_report(matrix: &RunMatrix, tuning: &RunTuning, jobs: usize, wall_second
         events,
         virtual_seconds,
         virtual_seconds.to_bits(),
-        checksum_xor,
+        matrix.fingerprint(),
         jobs,
         wall_seconds,
         events as f64 / wall_seconds,

@@ -56,24 +56,6 @@ impl std::str::FromStr for Preset {
     }
 }
 
-macro_rules! dispatch {
-    ($mod:ident, $params:expr, $sys:expr, $cfg:expr) => {
-        match $sys {
-            System::TreadMarks(protocol) => $mod::treadmarks_on($cfg, &$params, protocol),
-            System::Pvm => $mod::pvm_on($cfg, &$params),
-        }
-    };
-}
-
-macro_rules! try_dispatch {
-    ($mod:ident, $params:expr, $sys:expr, $cfg:expr) => {
-        match $sys {
-            System::TreadMarks(protocol) => $mod::try_treadmarks_on($cfg, &$params, protocol),
-            System::Pvm => $mod::try_pvm_on($cfg, &$params),
-        }
-    };
-}
-
 /// The schedule-exploration and fault-injection knobs of a run, all riding
 /// on [`ClusterConfig`]: the arbiter's tie-break seed, the optional cap on
 /// seeded draws (bisected by the shrinker), and the fault plan.  The
@@ -122,30 +104,15 @@ pub fn run_sequential(w: Workload, preset: Preset) -> SeqRun {
     }
 }
 
-/// Run a workload on `nprocs` processes under one of the two systems, on
-/// the paper's calibrated FDDI testbed.  See [`run_parallel_on`] for other
-/// interconnects.
-pub fn run_parallel(w: Workload, sys: System, nprocs: usize, preset: Preset) -> AppRun {
-    run_parallel_on(w, sys, &ClusterConfig::calibrated_fddi(nprocs), preset)
-}
-
 /// Run a workload under one of the two systems on an arbitrary cluster
 /// model (`cfg.nprocs` processes over `cfg`'s interconnect).
+///
+/// # Panics
+///
+/// Panics with the failure's description on a structured [`RunFailure`];
+/// see [`try_run_parallel_on`].
 pub fn run_parallel_on(w: Workload, sys: System, cfg: &ClusterConfig, preset: Preset) -> AppRun {
-    match w {
-        Workload::Ep => dispatch!(ep, ep_params(preset), sys, cfg),
-        Workload::SorZero => dispatch!(sor, sor_params(preset, true), sys, cfg),
-        Workload::SorNonzero => dispatch!(sor, sor_params(preset, false), sys, cfg),
-        Workload::IsSmall => dispatch!(is, is_params(preset, false), sys, cfg),
-        Workload::IsLarge => dispatch!(is, is_params(preset, true), sys, cfg),
-        Workload::Tsp => dispatch!(tsp, tsp_params(preset), sys, cfg),
-        Workload::Qsort => dispatch!(qsort, qsort_params(preset), sys, cfg),
-        Workload::Water288 => dispatch!(water, water_params(preset, false), sys, cfg),
-        Workload::Water1728 => dispatch!(water, water_params(preset, true), sys, cfg),
-        Workload::BarnesHut => dispatch!(barnes, barnes_params(preset), sys, cfg),
-        Workload::Fft3d => dispatch!(fft3d, fft_params(preset), sys, cfg),
-        Workload::Ilink => dispatch!(ilink, ilink_params(preset), sys, cfg),
-    }
+    try_run_parallel_on(w, sys, cfg, preset).unwrap_or_else(|f| panic!("{f}"))
 }
 
 /// As [`run_parallel_on`], but a structured [`RunFailure`] — a virtual-time
@@ -159,18 +126,18 @@ pub fn try_run_parallel_on(
     preset: Preset,
 ) -> Result<AppRun, RunFailure> {
     match w {
-        Workload::Ep => try_dispatch!(ep, ep_params(preset), sys, cfg),
-        Workload::SorZero => try_dispatch!(sor, sor_params(preset, true), sys, cfg),
-        Workload::SorNonzero => try_dispatch!(sor, sor_params(preset, false), sys, cfg),
-        Workload::IsSmall => try_dispatch!(is, is_params(preset, false), sys, cfg),
-        Workload::IsLarge => try_dispatch!(is, is_params(preset, true), sys, cfg),
-        Workload::Tsp => try_dispatch!(tsp, tsp_params(preset), sys, cfg),
-        Workload::Qsort => try_dispatch!(qsort, qsort_params(preset), sys, cfg),
-        Workload::Water288 => try_dispatch!(water, water_params(preset, false), sys, cfg),
-        Workload::Water1728 => try_dispatch!(water, water_params(preset, true), sys, cfg),
-        Workload::BarnesHut => try_dispatch!(barnes, barnes_params(preset), sys, cfg),
-        Workload::Fft3d => try_dispatch!(fft3d, fft_params(preset), sys, cfg),
-        Workload::Ilink => try_dispatch!(ilink, ilink_params(preset), sys, cfg),
+        Workload::Ep => ep::run(cfg, &ep_params(preset), sys),
+        Workload::SorZero => sor::run(cfg, &sor_params(preset, true), sys),
+        Workload::SorNonzero => sor::run(cfg, &sor_params(preset, false), sys),
+        Workload::IsSmall => is::run(cfg, &is_params(preset, false), sys),
+        Workload::IsLarge => is::run(cfg, &is_params(preset, true), sys),
+        Workload::Tsp => tsp::run(cfg, &tsp_params(preset), sys),
+        Workload::Qsort => qsort::run(cfg, &qsort_params(preset), sys),
+        Workload::Water288 => water::run(cfg, &water_params(preset, false), sys),
+        Workload::Water1728 => water::run(cfg, &water_params(preset, true), sys),
+        Workload::BarnesHut => barnes::run(cfg, &barnes_params(preset), sys),
+        Workload::Fft3d => fft3d::run(cfg, &fft_params(preset), sys),
+        Workload::Ilink => ilink::run(cfg, &ilink_params(preset), sys),
     }
 }
 
@@ -297,6 +264,18 @@ impl RunMatrix {
     /// True if the matrix holds no parallel runs.
     pub fn is_empty(&self) -> bool {
         self.runs.is_empty()
+    }
+
+    /// FNV-1a-64 over every run's [`run_record_json`] line, each
+    /// newline-terminated, in request order: a flipped bit in any run, or
+    /// the same runs in another order, changes it.
+    pub fn fingerprint(&self) -> u64 {
+        let mut text = String::new();
+        for (key, run) in self.runs() {
+            text.push_str(&run_record_json(key, run));
+            text.push('\n');
+        }
+        fnv1a(text.as_bytes())
     }
 }
 
@@ -494,6 +473,15 @@ pub fn render_race_reports(matrix: &RunMatrix) -> String {
     )
     .unwrap();
     out
+}
+
+/// FNV-1a-64 of `bytes` — the fingerprint of a run record in the goldens
+/// under `perfbench/golden/` and of a whole matrix
+/// ([`RunMatrix::fingerprint`]).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// One JSON record per run with every virtual time carried both as decimal
@@ -713,7 +701,7 @@ mod tests {
     fn every_workload_runs_under_every_system() {
         for w in Workload::all() {
             for sys in System::all() {
-                let r = run_parallel(w, sys, 2, Preset::Tiny);
+                let r = run_parallel_on(w, sys, &ClusterConfig::calibrated_fddi(2), Preset::Tiny);
                 assert!(r.time > 0.0, "{} failed under {}", w.name(), sys);
             }
         }
@@ -729,7 +717,8 @@ mod tests {
             let seq = run_sequential(w, Preset::Tiny);
             assert!(seq.time > 0.0, "{}: no sequential baseline", w.name());
             for protocol in ProtocolKind::all() {
-                let run = run_parallel(w, System::TreadMarks(protocol), 2, Preset::Tiny);
+                let sys = System::TreadMarks(protocol);
+                let run = run_parallel_on(w, sys, &ClusterConfig::calibrated_fddi(2), Preset::Tiny);
                 let speedup = run.speedup(seq.time);
                 assert!(
                     speedup.is_finite() && speedup > 0.0,
@@ -812,6 +801,34 @@ mod tests {
         assert_eq!(m.len(), 1);
         assert!(!m.is_empty());
         assert!(m.run(&key).time > 0.0);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_test_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn the_matrix_fingerprint_sees_run_order_where_a_checksum_xor_cancels() {
+        let keys = [
+            RunKey::fddi(Workload::Ep, System::Pvm, 2),
+            RunKey::fddi(
+                Workload::Ep,
+                System::TreadMarks(treadmarks::ProtocolKind::Lrc),
+                2,
+            ),
+        ];
+        let reversed = [keys[1], keys[0]];
+        let forward = run_matrix(Preset::Tiny, &[], &keys, 1);
+        let backward = run_matrix(Preset::Tiny, &[], &reversed, 1);
+        // Both systems compute the same answer, so the XOR of the run
+        // checksums is zero in either order and identifies nothing.
+        let xor = |m: &RunMatrix| m.runs().fold(0, |x, (_, r)| x ^ r.checksum.to_bits());
+        assert_eq!(xor(&forward), 0);
+        assert_eq!(xor(&backward), 0);
+        assert_ne!(forward.fingerprint(), backward.fingerprint());
     }
 
     #[test]

@@ -182,28 +182,6 @@ impl DsmState {
         out
     }
 
-    /// The pre-encoded wire buffers of
-    /// [`records_not_covered_by`](Self::records_not_covered_by), in the same
-    /// order (kept as the reference the spliced encoding below is tested
-    /// byte-identical against).
-    #[cfg(test)]
-    pub(crate) fn record_wires_not_covered_by(&self, other: &VectorClock) -> Vec<&Bytes> {
-        let mut out = Vec::new();
-        for creator in 0..self.nprocs {
-            let known = self.vc.get(creator);
-            let have = other.get(creator);
-            let base = self.interval_base[creator];
-            assert!(
-                have >= base,
-                "peer clock ({creator}:{have}) predates the GC horizon {base}"
-            );
-            for seq in (have + 1)..=known {
-                out.push(&self.intervals[creator][(seq - 1 - base) as usize].wire);
-            }
-        }
-        out
-    }
-
     /// Encode a lock grant or barrier message `(head, this clock, records
     /// not covered by other)` into the state's reusable wire buffer: the
     /// hot send path of every grant and barrier message.  The record wires
@@ -398,21 +376,14 @@ mod tests {
         other.set(0, 1);
         let reference =
             crate::proto::encode_lock_grant(7, &s.vc, &s.records_not_covered_by(&other));
-        assert_eq!(
-            crate::proto::encode_lock_grant_preencoded(
-                7,
-                &s.vc,
-                &s.record_wires_not_covered_by(&other)
-            ),
-            reference
-        );
         // Repeated encodes reuse the buffer and stay byte-identical.
         for _ in 0..3 {
             assert_eq!(s.encode_sync_not_covered_by(7, &other), reference);
         }
         // The barrier-arrival entry point covers against last_barrier_vc
         // (all zeros here), i.e. every record travels.
-        let all = crate::proto::encode_barrier(1, &s.vc, &s.records_not_covered_by(&VectorClock::new(2)));
+        let all =
+            crate::proto::encode_barrier(1, &s.vc, &s.records_not_covered_by(&VectorClock::new(2)));
         assert_eq!(s.encode_barrier_arrival(1), all);
     }
 }

@@ -101,12 +101,6 @@ impl<'a> Tmk<'a> {
         Self::with_heap_and_protocol(proc, DEFAULT_HEAP_BYTES, ProtocolKind::default())
     }
 
-    /// Create a DSM endpoint with a shared heap of `heap_bytes` bytes,
-    /// running the default (LRC) coherence protocol.
-    pub fn with_heap(proc: &'a Proc, heap_bytes: usize) -> Self {
-        Self::with_heap_and_protocol(proc, heap_bytes, ProtocolKind::default())
-    }
-
     /// Create a DSM endpoint with the default shared heap size, running the
     /// given coherence protocol.
     pub fn with_protocol(proc: &'a Proc, protocol: ProtocolKind) -> Self {

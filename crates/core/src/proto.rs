@@ -117,24 +117,24 @@ pub fn encode_sync_spliced(
     wire.finish(size)
 }
 
-/// Wire size of one encoded diff (what [`encode_diff_response_preencoded`]
-/// writes per diff after the `(creator, seq, vc)` prefix).
+/// Wire size of one encoded diff (what [`encode_diff_response`] writes per
+/// diff after the `(creator, seq, vc)` prefix).
 fn diff_wire_len(diff: &Diff) -> usize {
     4 + diff.runs.iter().map(|r| 4 + r.data.len()).sum::<usize>()
 }
 
-/// [`encode_diff_response_preencoded`] into a reusable, exactly pre-sized
-/// [`WireBuf`] — the serving path of the diff store.
+/// [`encode_diff_response`] from borrowed parts with pre-encoded vector
+/// clocks, into a reusable, exactly pre-sized [`WireBuf`] — the serving
+/// path of the diff store (no `Diff` clones, no clock re-serialisation).
 pub fn encode_diff_response_into(
     wire: &mut WireBuf,
     page: PageId,
     parts: &[DiffResponsePart<'_>],
 ) -> Bytes {
-    let size = 8
-        + parts
-            .iter()
-            .map(|(_, _, vcw, diff)| 8 + vcw.len() + diff_wire_len(diff))
-            .sum::<usize>();
+    let size = 8 + parts
+        .iter()
+        .map(|(_, _, vcw, diff)| 8 + vcw.len() + diff_wire_len(diff))
+        .sum::<usize>();
     let b = wire.begin(size);
     b.put_u32_le(page);
     b.put_u32_le(parts.len() as u32);
@@ -246,16 +246,6 @@ pub fn put_records(buf: &mut BytesMut, records: &[IntervalRecord]) {
     }
 }
 
-/// Encode a list of interval records from their pre-encoded wire buffers
-/// (see [`record_wire`]): the count header followed by a splice per record.
-/// Byte-identical to [`put_records`] over the same records.
-pub fn put_records_preencoded(buf: &mut BytesMut, wires: &[&Bytes]) {
-    buf.put_u32_le(wires.len() as u32);
-    for w in wires {
-        buf.put_slice(w);
-    }
-}
-
 /// Decode a list of interval records.
 pub fn get_records(buf: &mut Bytes, nprocs: usize) -> Vec<IntervalRecord> {
     let n = buf.get_u32_le() as usize;
@@ -279,17 +269,6 @@ pub fn decode_lock_request(mut payload: Bytes, nprocs: usize) -> (u32, usize, Ve
     (lock_id, requester, vc)
 }
 
-/// [`encode_lock_grant`] from pre-encoded record buffers — the hot-path
-/// variant used by the runtime's grant path (no record clones, no
-/// re-serialisation).
-pub fn encode_lock_grant_preencoded(lock_id: u32, vc: &VectorClock, wires: &[&Bytes]) -> Bytes {
-    let mut b = BytesMut::new();
-    b.put_u32_le(lock_id);
-    put_vc(&mut b, vc);
-    put_records_preencoded(&mut b, wires);
-    b.freeze()
-}
-
 /// Lock grant: `(lock_id, granter_vc, write notices the requester lacks)`.
 pub fn encode_lock_grant(lock_id: u32, vc: &VectorClock, records: &[IntervalRecord]) -> Bytes {
     let mut b = BytesMut::new();
@@ -308,15 +287,6 @@ pub fn decode_lock_grant(
     let vc = get_vc(&mut payload, nprocs);
     let records = get_records(&mut payload, nprocs);
     (lock_id, vc, records)
-}
-
-/// [`encode_barrier`] from pre-encoded record buffers (hot-path variant).
-pub fn encode_barrier_preencoded(epoch: u32, vc: &VectorClock, wires: &[&Bytes]) -> Bytes {
-    let mut b = BytesMut::new();
-    b.put_u32_le(epoch);
-    put_vc(&mut b, vc);
-    put_records_preencoded(&mut b, wires);
-    b.freeze()
 }
 
 /// Barrier arrival / release: `(epoch, vc, records)`.
@@ -410,22 +380,6 @@ fn get_diff(buf: &mut Bytes) -> Diff {
 /// One borrowed entry of a diff response: `(creator, seq, pre-encoded
 /// creating-interval clock, diff)`.
 pub type DiffResponsePart<'a> = (usize, u32, &'a Bytes, &'a Diff);
-
-/// [`encode_diff_response`] from borrowed parts with pre-encoded vector
-/// clocks — the hot-path variant used when serving a diff request straight
-/// out of the diff store (no `Diff` clones, no clock re-serialisation).
-pub fn encode_diff_response_preencoded(page: PageId, parts: &[DiffResponsePart<'_>]) -> Bytes {
-    let mut b = BytesMut::new();
-    b.put_u32_le(page);
-    b.put_u32_le(parts.len() as u32);
-    for (creator, seq, vc_wire, diff) in parts {
-        b.put_u32_le(*creator as u32);
-        b.put_u32_le(*seq);
-        b.put_slice(vc_wire);
-        put_diff(&mut b, diff);
-    }
-    b.freeze()
-}
 
 /// Diff response: `(page, diffs)`.
 pub fn encode_diff_response(page: PageId, diffs: &[WireDiff]) -> Bytes {
@@ -785,53 +739,6 @@ mod tests {
         assert_eq!(pid, 42);
         assert_eq!(got_applied, applied);
         assert_eq!(got_data, data);
-    }
-
-    #[test]
-    fn preencoded_paths_are_byte_identical_to_the_reference_encoders() {
-        let records = vec![
-            IntervalRecord {
-                creator: 1,
-                seq: 5,
-                vc: vc(&[0, 5, 2]),
-                pages: vec![10, 11, 12],
-            },
-            IntervalRecord {
-                creator: 0,
-                seq: 2,
-                vc: vc(&[2, 0, 0]),
-                pages: vec![],
-            },
-        ];
-        let wires: Vec<Bytes> = records.iter().map(record_wire).collect();
-        let wire_refs: Vec<&Bytes> = wires.iter().collect();
-        let clock = vc(&[2, 5, 0]);
-        assert_eq!(
-            encode_lock_grant_preencoded(3, &clock, &wire_refs),
-            encode_lock_grant(3, &clock, &records)
-        );
-        assert_eq!(
-            encode_barrier_preencoded(9, &clock, &wire_refs),
-            encode_barrier(9, &clock, &records)
-        );
-
-        let twin = new_page();
-        let mut page = new_page();
-        page[100] = 1;
-        page[2000] = 2;
-        let d = Diff::create(&twin, &page);
-        let dvc = vc(&[0, 3, 1]);
-        let wire = vec![WireDiff {
-            creator: 1,
-            seq: 3,
-            vc: dvc.clone(),
-            diff: d.clone(),
-        }];
-        let dvcw = vc_wire(&dvc);
-        assert_eq!(
-            encode_diff_response_preencoded(12, &[(1, 3, &dvcw, &d)]),
-            encode_diff_response(12, &wire)
-        );
     }
 
     #[test]

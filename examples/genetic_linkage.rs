@@ -8,6 +8,9 @@
 //! Run with: `cargo run --release --example genetic_linkage`
 
 use netws::apps::ilink::{self, IlinkParams};
+use netws::apps::System;
+use netws::cluster::ClusterConfig;
+use netws::treadmarks::ProtocolKind;
 
 fn main() {
     let params = IlinkParams::scaled();
@@ -23,10 +26,11 @@ fn main() {
         seq.checksum, seq.time
     );
 
+    let run = |n, sys| ilink::run(&ClusterConfig::calibrated_fddi(n), &params, sys).unwrap();
     println!("{:>6} {:>12} {:>12}", "procs", "TreadMarks", "PVM");
     for n in [2, 4, 8] {
-        let t = ilink::treadmarks(n, &params);
-        let m = ilink::pvm(n, &params);
+        let t = run(n, System::TreadMarks(ProtocolKind::Lrc));
+        let m = run(n, System::Pvm);
         assert!((t.checksum - seq.checksum).abs() < 1e-6);
         assert!((m.checksum - seq.checksum).abs() < 1e-6);
         println!(

@@ -5,6 +5,9 @@
 //! Run with: `cargo run --release --example red_black_sor`
 
 use netws::apps::sor::{self, SorParams};
+use netws::apps::System;
+use netws::cluster::ClusterConfig;
+use netws::treadmarks::ProtocolKind;
 
 fn main() {
     let params = SorParams {
@@ -18,10 +21,11 @@ fn main() {
         "Red-Black SOR {}x{} ({} iterations), sequential time {:.2}s\n",
         params.rows, params.cols, params.iters, seq.time
     );
+    let run = |n, sys| sor::run(&ClusterConfig::calibrated_fddi(n), &params, sys).unwrap();
     println!("{:>6} {:>12} {:>12}", "procs", "TreadMarks", "PVM");
     for n in [1, 2, 4, 8] {
-        let t = sor::treadmarks(n, &params);
-        let m = sor::pvm(n, &params);
+        let t = run(n, System::TreadMarks(ProtocolKind::Lrc));
+        let m = run(n, System::Pvm);
         println!(
             "{:>6} {:>12.2} {:>12.2}",
             n,

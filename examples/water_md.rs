@@ -8,6 +8,9 @@
 //! Run with: `cargo run --release --example water_md`
 
 use netws::apps::water::{self, WaterParams};
+use netws::apps::System;
+use netws::cluster::ClusterConfig;
+use netws::treadmarks::ProtocolKind;
 
 fn main() {
     for (label, params) in [
@@ -27,8 +30,10 @@ fn main() {
         ),
     ] {
         let seq = water::sequential(&params);
-        let t = water::treadmarks(8, &params);
-        let m = water::pvm(8, &params);
+        let fddi = ClusterConfig::calibrated_fddi(8);
+        let run = |sys| water::run(&fddi, &params, sys).unwrap();
+        let t = run(System::TreadMarks(ProtocolKind::Lrc));
+        let m = run(System::Pvm);
         println!(
             "{label}: {} molecules, sequential {:.2}s",
             params.molecules, seq.time

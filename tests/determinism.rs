@@ -4,34 +4,13 @@
 //! property that turns the reproduction's Table 1/2 numbers into stable
 //! facts instead of thread-interleaving lottery tickets.
 
+use bench::Preset;
 use netws::apps::runner::{AppRun, System};
 use netws::apps::Workload;
 use netws::cluster::{Cluster, ClusterConfig, ProcStats};
 
-// The bench crate is not a dependency of the root package (it is a harness),
-// so re-derive the tiny-preset dispatch locally, as cross_system.rs does.
 fn run(w: Workload, sys: System, n: usize) -> AppRun {
-    use netws::apps::*;
-    macro_rules! go {
-        ($m:ident, $params:expr) => {
-            match sys {
-                System::TreadMarks(protocol) => $m::treadmarks_with(n, &$params, protocol),
-                System::Pvm => $m::pvm(n, &$params),
-            }
-        };
-    }
-    match w {
-        Workload::Ep => go!(ep, ep::EpParams::tiny()),
-        Workload::SorZero => go!(sor, sor::SorParams::tiny(true)),
-        Workload::SorNonzero => go!(sor, sor::SorParams::tiny(false)),
-        Workload::IsSmall | Workload::IsLarge => go!(is, is::IsParams::tiny()),
-        Workload::Tsp => go!(tsp, tsp::TspParams::tiny()),
-        Workload::Qsort => go!(qsort, qsort::QsortParams::tiny()),
-        Workload::Water288 | Workload::Water1728 => go!(water, water::WaterParams::tiny()),
-        Workload::BarnesHut => go!(barnes, barnes::BarnesParams::tiny()),
-        Workload::Fft3d => go!(fft3d, fft3d::FftParams::tiny()),
-        Workload::Ilink => go!(ilink, ilink::IlinkParams::tiny()),
-    }
+    bench::run_parallel_on(w, sys, &ClusterConfig::calibrated_fddi(n), Preset::Tiny)
 }
 
 /// Bitwise equality of two per-process stat records: every virtual time is
@@ -122,7 +101,7 @@ fn every_app_is_bit_deterministic_under_every_system() {
 /// records — to the same matrix computed serially.
 #[test]
 fn parallel_executor_matches_serial_bit_for_bit() {
-    use bench::{run_matrix, run_record_json, Preset, RunKey};
+    use bench::{run_matrix, run_record_json, RunKey};
     let workloads = [Workload::Qsort, Workload::IsSmall, Workload::BarnesHut];
     let keys: Vec<RunKey> = workloads
         .iter()

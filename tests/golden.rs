@@ -1,5 +1,6 @@
 //! Golden output fingerprints: every run of the tiny matrix and of a small
-//! lossy fuzz campaign must reproduce, byte for byte, the run record
+//! lossy fuzz campaign — and, under `--ignored`, of the scaled DSM and
+//! wide-rank matrices — must reproduce, byte for byte, the run record
 //! committed under `perfbench/golden/`.
 //!
 //! A run's fingerprint is FNV-1a-64 over its `bench::run_record_json` line,
@@ -9,18 +10,11 @@
 //! key whose output changed.  A deliberate cost-model change regenerates
 //! them with `python3 perfbench/run.py --workload W --write-golden`.
 
-use bench::{exec, fuzz, run_record_json, try_run_parallel_on, Preset, RunKey};
+use bench::{exec, fnv1a, fuzz, proc_series, run_record_json, try_run_parallel_on, Preset, RunKey};
 use netws::apps::runner::System;
 use netws::apps::Workload;
 use netws::cluster::{AnalysisLevel, ClusterConfig, FaultPlan};
 use std::collections::HashMap;
-
-/// FNV-1a-64 of `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// The committed `<run key> <fingerprint>` pairs of one golden file.
 fn golden(name: &str) -> HashMap<String, u64> {
@@ -53,20 +47,34 @@ fn label(key: &RunKey) -> String {
     )
 }
 
-/// Run every `(label, key, config)` point on a small worker pool and
-/// assert each run's fingerprint equals its golden, naming every key that
-/// differs.
-fn assert_matches_golden(name: &str, points: Vec<(String, RunKey, ClusterConfig)>) {
+/// Every `apps` × system × `procs` point on the paper's testbed, in the
+/// canonical order of the golden files.
+fn matrix(apps: &[Workload], procs: &[usize]) -> Vec<(String, RunKey, ClusterConfig)> {
+    let mut points = Vec::new();
+    for &w in apps {
+        for sys in System::all() {
+            for &n in procs {
+                let key = RunKey::fddi(w, sys, n);
+                points.push((label(&key), key, key.config()));
+            }
+        }
+    }
+    points
+}
+
+/// Run every `(label, key, config)` point at `preset` on a small worker
+/// pool and assert each run's fingerprint equals its golden, naming every
+/// key that differs.
+fn assert_matches_golden(name: &str, preset: Preset, points: Vec<(String, RunKey, ClusterConfig)>) {
     let golden = golden(name);
     let tasks: Vec<_> = points
         .into_iter()
         .map(|(label, key, cfg)| {
             move || {
-                let observed =
-                    match try_run_parallel_on(key.workload, key.system, &cfg, Preset::Tiny) {
-                        Ok(run) => fnv1a(run_record_json(&key, &run).as_bytes()),
-                        Err(failure) => fnv1a(format!("failure: {failure}").as_bytes()),
-                    };
+                let observed = match try_run_parallel_on(key.workload, key.system, &cfg, preset) {
+                    Ok(run) => fnv1a(run_record_json(&key, &run).as_bytes()),
+                    Err(failure) => fnv1a(format!("failure: {failure}").as_bytes()),
+                };
                 (label, observed)
             }
         })
@@ -92,19 +100,29 @@ fn assert_matches_golden(name: &str, points: Vec<(String, RunKey, ClusterConfig)
 
 #[test]
 fn the_tiny_matrix_matches_its_golden_fingerprints() {
-    let points: Vec<_> = Workload::all()
-        .into_iter()
-        .flat_map(|w| {
-            System::all().into_iter().flat_map(move |sys| {
-                (1..=8).map(move |n| {
-                    let key = RunKey::fddi(w, sys, n);
-                    (label(&key), key, key.config())
-                })
-            })
-        })
-        .collect();
+    let points = matrix(&Workload::all(), &[1, 2, 3, 4, 5, 6, 7, 8]);
     assert_eq!(points.len(), 384);
-    assert_matches_golden("tiny-matrix", points);
+    assert_matches_golden("tiny-matrix", Preset::Tiny, points);
+}
+
+/// The scaled DSM matrix: twins, diffs and page traffic at scaled inputs.
+/// Minutes in a debug build, so it runs under `--release -- --ignored`.
+#[test]
+#[ignore = "scaled inputs; run with cargo test --release --test golden -- --ignored"]
+fn the_scaled_dsm_matrix_matches_its_golden_fingerprints() {
+    let points = matrix(&[Workload::SorNonzero, Workload::IsLarge], &[1, 2, 3, 4]);
+    assert_eq!(points.len(), 32);
+    assert_matches_golden("scaled-dsm", Preset::Scaled, points);
+}
+
+/// Tiny EP and IS-Small at up to 256 ranks: the width of the vector clocks
+/// and of the scheduler.
+#[test]
+#[ignore = "256-rank runs; run with cargo test --release --test golden -- --ignored"]
+fn the_wide_rank_matrix_matches_its_golden_fingerprints() {
+    let points = matrix(&[Workload::Ep, Workload::IsSmall], &proc_series(256));
+    assert_eq!(points.len(), 104);
+    assert_matches_golden("wide-ranks", Preset::Tiny, points);
 }
 
 /// Fuzz seeds 0 and 1 of `reproduce fuzz --tiny --faults lossy` at 4
@@ -126,5 +144,5 @@ fn the_lossy_fuzz_campaign_matches_its_golden_fingerprints() {
         }
     }
     assert_eq!(points.len(), 96);
-    assert_matches_golden("fuzz-lossy", points);
+    assert_matches_golden("fuzz-lossy", Preset::Tiny, points);
 }
