@@ -180,7 +180,7 @@ pub enum CrashPoint {
     Event(u64),
 }
 
-/// A process-crash fault: the process dies (its thread unwinds, its state
+/// A process-crash fault: the process dies (its coroutine unwinds, its state
 /// vanishes) at the given point; it never sends again and never answers.
 ///
 /// The canonical text form is `"2@0.0015"` (rank 2 at t = 1.5 ms) or

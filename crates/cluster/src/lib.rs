@@ -3,9 +3,9 @@
 //! The SC'95 study "Message Passing Versus Distributed Shared Memory on
 //! Networks of Workstations" executed its experiments on eight HP-735
 //! workstations connected by a 100 Mbit/s FDDI ring.  This crate provides the
-//! equivalent substrate for the reproduction: a [`Cluster`] spawns one OS
-//! thread per simulated *process* (workstation), and every process owns a
-//! [`Proc`] handle through which it
+//! equivalent substrate for the reproduction: a [`Cluster`] runs every
+//! simulated *process* (workstation) as a stackful coroutine on the calling
+//! thread, and every process owns a [`Proc`] handle through which it
 //!
 //! * advances a **virtual clock** for computation via [`Proc::compute`], and
 //! * exchanges tagged byte messages via [`Proc::send`] / [`Proc::recv`],
@@ -51,6 +51,7 @@
 
 pub mod analysis;
 pub mod config;
+mod coro;
 pub mod fault;
 pub mod net;
 pub mod obs;
@@ -70,60 +71,36 @@ pub use scenario::Scenario;
 pub use stats::{ClusterReport, ProcStats};
 pub use time::VirtualClock;
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A simulated cluster of workstations.
 ///
 /// `Cluster` is a thin front end: [`Cluster::run`] builds the shared
-/// [`net::NetworkCore`], spawns one thread per process, hands each thread a
-/// [`Proc`] handle, runs the user closure to completion on every process and
-/// returns the per-process results together with the per-process
-/// communication statistics.
+/// [`net::NetworkCore`], runs the user closure on every process — each a
+/// coroutine on the calling thread, holding its own [`Proc`] handle — to
+/// completion, and returns the per-process results together with the
+/// per-process communication statistics.
 pub struct Cluster;
-
-/// Install (once per host process) a panic hook that silences the engine's
-/// typed teardown payloads — the crash, deadlock, livelock and peer-abort
-/// panics [`Cluster::try_run`] raises internally and always catches.  They
-/// are control flow, not errors, and a fuzz campaign provokes thousands;
-/// without this the default hook prints a `Box<dyn Any>` line (and under
-/// `RUST_BACKTRACE`, a backtrace) per simulated failure.  Every other
-/// payload chains to the previously installed hook, so genuine panics
-/// still print exactly as before.
-fn quiet_teardown_hook() {
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let p = info.payload();
-            let typed = p.is::<net::PeerAbort>()
-                || p.is::<net::DeadlockAbort>()
-                || p.is::<net::LivelockAbort>()
-                || p.is::<net::CrashPayload>();
-            if !typed {
-                previous(info);
-            }
-        }));
-    });
-}
 
 impl Cluster {
     /// Run `f` on `cfg.nprocs` simulated processes and collect the results.
     ///
-    /// The closure receives the [`Proc`] handle of its process.  Each
-    /// process runs on its own OS thread, but the cluster's conservative
-    /// virtual-time arbiter serialises every shared-medium and mailbox
-    /// interaction in virtual-timestamp order (ties broken by rank), so all
-    /// reported times *and counters* are bit-identical across runs — the
-    /// outcome is a pure function of the program and the cost model, never
-    /// of OS scheduling or the physical core count of the host.
+    /// The closure receives the [`Proc`] handle of its process.  Every
+    /// process is a coroutine with its own stack, all on the calling thread,
+    /// and the cluster's conservative virtual-time arbiter decides which one
+    /// runs at every shared-medium and mailbox interaction, in
+    /// virtual-timestamp order (ties broken by rank).  All reported times
+    /// *and counters* are therefore bit-identical across runs — the outcome
+    /// is a pure function of the program and the cost model, never of the
+    /// host.
     ///
     /// # Panics
     ///
-    /// Panics if any process thread panics (the lowest-rank panic is
-    /// propagated), or on any structured [`RunFailure`] — a virtual-time
-    /// deadlock or livelock (the panic message carries the full wait graph
-    /// and fault context) or a fault-plan crash.  Harnesses that must
-    /// survive failures (the fuzzer) use [`Cluster::try_run`] instead.
+    /// Panics if any process panics (the lowest-rank panic is propagated),
+    /// or on any structured [`RunFailure`] — a virtual-time deadlock or
+    /// livelock (the panic message carries the full wait graph and fault
+    /// context) or a fault-plan crash.  Harnesses that must survive failures
+    /// (the fuzzer) use [`Cluster::try_run`] instead.
     pub fn run<F, R>(cfg: ClusterConfig, f: F) -> ClusterReport<R>
     where
         F: Fn(&Proc) -> R + Send + Sync,
@@ -136,112 +113,102 @@ impl Cluster {
     /// come back as a structured [`RunFailure`] instead of a panic, so a
     /// fuzzing harness can classify them as findings and keep going.
     ///
+    /// The processes run as coroutines on the calling thread: the run starts
+    /// no OS thread, and parallelism comes only from running independent
+    /// clusters side by side (`bench`'s `--jobs`).  Teardown is silent: the
+    /// payloads that unwind the processes of a failed run are raised without
+    /// the panic hook.
+    ///
     /// Genuine panics in the process closure (assertion failures, runtime
     /// bugs) still propagate as panics: they are errors in the program under
     /// test, not verdicts about its schedule.
     ///
     /// # Panics
     ///
-    /// Panics if a process thread panics with anything other than the
-    /// engine's typed teardown payloads.
+    /// Panics if a process panics with anything other than the engine's
+    /// typed teardown payloads.
     pub fn try_run<F, R>(cfg: ClusterConfig, f: F) -> Result<ClusterReport<R>, RunFailure>
     where
         F: Fn(&Proc) -> R + Send + Sync,
         R: Send,
     {
         assert!(cfg.nprocs >= 1, "a cluster needs at least one process");
-        quiet_teardown_hook();
-        let core = Arc::new(net::NetworkCore::new(cfg.clone()));
-        let f = &f;
-        let results: Result<Vec<(R, ProcStats, Option<obs::ProcObs>)>, RunFailure> =
-            // lint:allow(threads): the cluster's own per-process OS threads —
-            // the arbiter serialises every simulated interaction they perform.
-            std::thread::scope(|s| {
-                let mut handles = Vec::with_capacity(cfg.nprocs);
-                for id in 0..cfg.nprocs {
-                    let core = Arc::clone(&core);
-                    handles.push(s.spawn(move || {
-                        let mut proc = Proc::new(id, Arc::clone(&core));
-                        // A panicking process aborts the whole cluster: peers
-                        // blocked on messages it will never send fail fast
-                        // instead of hanging the run.  `into_stats` (which hands
-                        // the scheduling token back) runs inside the guard so a
-                        // deadlock detected at finish aborts the cluster too.
-                        // A fault-plan crash is the one exception: it already
-                        // tore itself down via `core.crash`, and its peers
-                        // must run on — the crash kills one process, not the
-                        // cluster.
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let r = f(&proc);
-                            let po = proc.take_obs();
-                            let stats = proc.into_stats();
-                            (r, stats, po)
-                        })) {
-                            Ok(tuple) => tuple,
-                            Err(payload) => {
-                                if payload.downcast_ref::<net::CrashPayload>().is_none() {
-                                    core.abort(id);
-                                }
-                                std::panic::resume_unwind(payload);
-                            }
-                        }
-                    }));
-                }
-                // Join every thread before propagating a failure, and prefer
-                // the *originating* panic over the typed `PeerAbort` panics of
-                // the peers it took down, so the surfaced message is the root
-                // cause (deterministically the lowest-rank originator).
-                let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-                let mut out = Vec::with_capacity(joined.len());
-                let mut originator = None;
-                let mut victim = None;
-                let mut failure: Option<RunFailure> = None;
-                let mut crashed = false;
-                for j in joined {
-                    match j {
-                        Ok(tuple) => out.push(tuple),
-                        Err(payload) => {
-                            if payload.downcast_ref::<net::CrashPayload>().is_some() {
-                                crashed = true;
-                            } else if let Some(d) = payload.downcast_ref::<net::DeadlockAbort>() {
-                                failure.get_or_insert(RunFailure::Deadlock(d.0.clone()));
-                            } else if let Some(l) = payload.downcast_ref::<net::LivelockAbort>() {
-                                failure.get_or_insert(RunFailure::Livelock(l.0.clone()));
-                            } else if payload.downcast_ref::<net::PeerAbort>().is_some() {
-                                victim.get_or_insert(payload);
-                            } else {
-                                originator.get_or_insert(payload);
-                            }
-                        }
+        let core = Rc::new(net::NetworkCore::new(cfg.clone()));
+        let body = |id: usize| {
+            let mut proc = Proc::new(id, Rc::clone(&core));
+            // A panicking process aborts the whole cluster: peers blocked on
+            // messages it will never send fail fast instead of hanging the
+            // run.  `into_stats` (which hands the scheduling token back) runs
+            // inside the guard so a deadlock detected at finish aborts the
+            // cluster too.  A fault-plan crash is the one exception: it
+            // already tore itself down via `core.crash`, and its peers must
+            // run on — the crash kills one process, not the cluster.
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let r = f(&proc);
+                let po = proc.take_obs();
+                let stats = proc.into_stats();
+                (r, stats, po)
+            })) {
+                Ok(tuple) => tuple,
+                Err(payload) => {
+                    if payload.downcast_ref::<net::CrashPayload>().is_none() {
+                        core.abort(id);
                     }
-                }
-                if let Some(payload) = originator {
                     std::panic::resume_unwind(payload);
                 }
-                if let Some(failure) = failure {
-                    return Err(failure);
+            }
+        };
+        // Every process has finished before a failure propagates.  Prefer
+        // the *originating* panic over the typed `PeerAbort` panics of the
+        // peers it took down, so the surfaced message is the root cause
+        // (deterministically the lowest-rank originator).
+        let mut out = Vec::with_capacity(cfg.nprocs);
+        let mut originator = None;
+        let mut victim = None;
+        let mut failure: Option<RunFailure> = None;
+        let mut crashed = false;
+        for outcome in core.run_procs(&body) {
+            match outcome {
+                Ok(tuple) => out.push(tuple),
+                Err(payload) => {
+                    if payload.downcast_ref::<net::CrashPayload>().is_some() {
+                        crashed = true;
+                    } else if let Some(d) = payload.downcast_ref::<net::DeadlockAbort>() {
+                        failure.get_or_insert(RunFailure::Deadlock(d.0.clone()));
+                    } else if let Some(l) = payload.downcast_ref::<net::LivelockAbort>() {
+                        failure.get_or_insert(RunFailure::Livelock(l.0.clone()));
+                    } else if payload.downcast_ref::<net::PeerAbort>().is_some() {
+                        victim.get_or_insert(payload);
+                    } else {
+                        originator.get_or_insert(payload);
+                    }
                 }
-                if let Some(payload) = victim {
-                    // Every victim should be accompanied by its originator; if
-                    // one ever surfaces alone, rethrow it readably.
-                    let who = payload
-                        .downcast_ref::<net::PeerAbort>()
-                        .expect("checked above")
-                        .0;
-                    panic!("cluster aborted: process {who} panicked");
-                }
-                if crashed {
-                    // Crashed ranks produced no result, so there is nothing
-                    // complete to report — but nothing deadlocked either.
-                    return Err(RunFailure::Crashed(core.crashed()));
-                }
-                Ok(out)
-            });
-        let results = results?;
-        let mut out_results = Vec::with_capacity(results.len());
-        let mut out_stats = Vec::with_capacity(results.len());
-        let mut out_obs = Vec::with_capacity(results.len());
-        for (r, st, po) in results {
+            }
+        }
+        if let Some(payload) = originator {
+            std::panic::resume_unwind(payload);
+        }
+        if let Some(failure) = failure {
+            return Err(failure);
+        }
+        if let Some(payload) = victim {
+            // Every victim should be accompanied by its originator; if one
+            // ever surfaces alone, rethrow it readably.
+            let who = payload
+                .downcast_ref::<net::PeerAbort>()
+                .expect("checked above")
+                .0;
+            panic!("cluster aborted: process {who} panicked");
+        }
+        if crashed {
+            // Crashed ranks produced no result, so there is nothing complete
+            // to report — but nothing deadlocked either.
+            return Err(RunFailure::Crashed(core.crashed()));
+        }
+        let mut out_results = Vec::with_capacity(out.len());
+        let mut out_stats = Vec::with_capacity(out.len());
+        let mut out_obs = Vec::with_capacity(out.len());
+        for (r, st, po) in out {
             out_results.push(r);
             out_stats.push(st);
             if let Some(po) = po {

@@ -8,20 +8,24 @@
 //! stream carrying one PVM message.
 //!
 //! All shared state — mailboxes, the shared-medium reservation, and the
-//! per-process scheduler states — lives behind one lock, and every
+//! per-process scheduler states — lives in one `RefCell`, and every
 //! interaction goes through the conservative arbiter in `crate::sched`:
 //! a process may transmit, consume, or observe messages only while it holds
-//! the minimum virtual time among runnable processes.  Medium-acquisition
-//! order is therefore a pure function of virtual timestamps (ties broken by
-//! rank), never of OS scheduling, and two runs of the same program produce
-//! byte-identical times and counters.
+//! the minimum virtual time among runnable processes.  Every process is a
+//! coroutine on the host thread that runs the cluster (`crate::coro`); a
+//! process that parks and is not granted the token right away switches to
+//! the scheduler, which resumes the granted one.  Medium-acquisition order
+//! is therefore a pure function of virtual timestamps (ties broken by rank),
+//! and two runs of the same program produce byte-identical times and
+//! counters.
 
 use crate::config::ClusterConfig;
+use crate::coro::{Executor, Outcome};
 use crate::fault::{FaultKind, FaultState, FaultStats};
 use crate::obs::{self, Event, EventKind, ObsLevel};
 use crate::sched::{wait_graph, Arbiter, Decision, PState};
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::cell::{RefCell, RefMut};
 use std::collections::VecDeque;
 
 /// Message tags distinguish independent conversations between two processes.
@@ -62,11 +66,11 @@ pub(crate) struct DeadlockAbort(pub(crate) String);
 #[derive(Debug, Clone)]
 pub(crate) struct LivelockAbort(pub(crate) String);
 
-/// Panic payload a process thread unwinds with when its fault-plan crash
+/// Panic payload a process unwinds with when its fault-plan crash
 /// point fires: not an error in the program under test, but the injected
 /// fault itself.  The fields are never read by the engine (the crash is
-/// recorded in `SimState` before the unwind) — they exist so a panic hook
-/// that `Debug`-prints an escaped payload names the crash.
+/// recorded in `SimState` before the unwind) — they exist so a `Debug`
+/// print of an escaped payload names the crash.
 #[derive(Debug, Clone, Copy)]
 #[allow(dead_code)]
 pub(crate) struct CrashPayload {
@@ -129,7 +133,7 @@ impl std::fmt::Display for RunFailure {
 /// Why the simulation was torn down early.
 #[derive(Debug, Clone)]
 enum Abort {
-    /// A process thread panicked; peers must fail fast instead of waiting
+    /// A process panicked; peers must fail fast instead of waiting
     /// for messages the dead process will never send.
     Panic(usize),
     /// Every live process was blocked in a receive with no deliverable
@@ -156,19 +160,20 @@ const LIVELOCK_GRANT_LIMIT: u64 = 10_000_000;
 #[cfg(test)]
 const LIVELOCK_GRANT_LIMIT: u64 = 100_000;
 
-/// Unwind the calling process thread with the typed payload matching the
-/// abort cause.
+/// Unwind the calling process with the typed payload matching the abort
+/// cause.  `resume_unwind` skips the panic hook: teardown is control flow,
+/// not an error, and a fuzz campaign provokes thousands of them.
 fn panic_aborted(abort: &Abort) -> ! {
     match abort {
-        Abort::Panic(who) => std::panic::panic_any(PeerAbort(*who)),
-        Abort::Deadlock(graph) => std::panic::panic_any(DeadlockAbort(graph.clone())),
-        Abort::Livelock(graph) => std::panic::panic_any(LivelockAbort(graph.clone())),
+        Abort::Panic(who) => std::panic::resume_unwind(Box::new(PeerAbort(*who))),
+        Abort::Deadlock(graph) => std::panic::resume_unwind(Box::new(DeadlockAbort(graph.clone()))),
+        Abort::Livelock(graph) => std::panic::resume_unwind(Box::new(LivelockAbort(graph.clone()))),
     }
 }
 
-/// Everything the simulation shares between process threads, guarded by a
-/// single lock: exactly one process interacts with it at a time anyway (the
-/// token discipline), so finer-grained locking would buy nothing.
+/// Everything the simulation shares between processes, in one `RefCell`:
+/// exactly one process interacts with it at a time (the token discipline),
+/// and none holds the borrow across a switch.
 struct SimState {
     /// Per-process incoming-message queues.
     mailboxes: Vec<VecDeque<Message>>,
@@ -185,25 +190,28 @@ struct SimState {
     futile_grants: u64,
     /// Set when the cluster is torn down early.
     aborted: Option<Abort>,
+    /// The rank of the latest grant, until it is acted on: cleared by a
+    /// parking process that was granted the token itself, or taken by the
+    /// scheduler, which resumes that rank once the granting process has
+    /// switched out or finished.
+    next: Option<usize>,
     /// Runtime fault-injection state; `None` when the plan is empty, so the
     /// pre-fault transmit path is preserved byte for byte.
     faults: Option<FaultState>,
     /// `(rank, virtual_time)` of every fault-plan crash that fired.
     crashed: Vec<(usize, f64)>,
     /// Central observability event stream (message sends, consumes, arbiter
-    /// grants), recorded under this lock — so in deterministic token order —
+    /// grants), recorded by the token holder — so in deterministic order —
     /// when the config asks for [`ObsLevel::Trace`]; `None` otherwise.
     trace: Option<Vec<Event>>,
 }
 
-/// The shared state of the simulated network: one lock, one grant at a
-/// time.
+/// The shared state of the simulated network, one grant at a time, and the
+/// executor whose coroutines are its processes.
 pub struct NetworkCore {
     cfg: ClusterConfig,
-    state: Mutex<SimState>,
-    /// One wake-up channel per process; a process sleeps on its own condvar
-    /// while parked or blocked and is woken when granted (or on abort).
-    wake: Vec<Condvar>,
+    state: RefCell<SimState>,
+    exec: Executor,
 }
 
 impl NetworkCore {
@@ -217,17 +225,18 @@ impl NetworkCore {
         let arb = Arbiter::with_seed(n, cfg.sched_seed, cfg.tie_limit).with_lookahead(cfg.latency);
         NetworkCore {
             cfg,
-            state: Mutex::new(SimState {
+            state: RefCell::new(SimState {
                 mailboxes: (0..n).map(|_| VecDeque::new()).collect(),
                 arb,
                 medium_free_at: 0.0,
                 futile_grants: 0,
                 aborted: None,
+                next: None,
                 faults,
                 crashed: Vec::new(),
                 trace: if tracing { Some(Vec::new()) } else { None },
             }),
-            wake: (0..n).map(|_| Condvar::new()).collect(),
+            exec: Executor::new(n),
         }
     }
 
@@ -236,23 +245,30 @@ impl NetworkCore {
         &self.cfg
     }
 
-    /// Mark the cluster as aborted because process `who` panicked, and wake
-    /// every parked or blocked process so it can fail fast.
+    /// Run `body(rank)` as process `rank` for every rank, each a coroutine
+    /// on this thread, and return each body's outcome (`Err` carries the
+    /// payload of a panic that escaped it).  Ranks start in rank order, each
+    /// running until its first interaction; from then on the arbiter's
+    /// grants decide who runs.  After an abort every process still parked or
+    /// blocked is resumed once, and unwinds.
+    pub(crate) fn run_procs<T>(&self, body: &dyn Fn(usize) -> T) -> Vec<Outcome<T>> {
+        self.exec.run(body, || self.state.borrow_mut().next.take())
+    }
+
+    /// Mark the cluster as aborted because process `who` panicked: every
+    /// parked or blocked process fails fast when it is next resumed.
     pub fn abort(&self, who: usize) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         if st.aborted.is_none() {
             st.aborted = Some(Abort::Panic(who));
         }
         st.arb.set(who, PState::Finished);
-        for cv in &self.wake {
-            cv.notify_all();
-        }
     }
 
     /// Mark process `id` as finished and hand the token to the next
     /// runnable process.  Called when the process closure returns.
     pub fn finish(&self, id: usize) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.arb.set(id, PState::Finished);
         if st.aborted.is_none() {
             self.dispatch(&mut st);
@@ -262,11 +278,11 @@ impl NetworkCore {
     /// Tear down process `id` because its fault-plan crash point fired at
     /// virtual time `at`: record the crash, stamp it into the trace, mark
     /// the process finished and hand the token on.  The process layer then
-    /// unwinds its thread with a [`CrashPayload`] — the crash kills only the
+    /// unwinds with a [`CrashPayload`] — the crash kills only the
     /// one process; peers run on (and may then deadlock, which the detector
     /// reports naming this crash as context).
     pub(crate) fn crash(&self, id: usize, at: f64) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.crashed.push((id, at));
         if let Some(f) = st.faults.as_mut() {
             f.stats.crashes += 1;
@@ -290,13 +306,13 @@ impl NetworkCore {
 
     /// `(rank, virtual_time)` of every fault-plan crash that has fired.
     pub(crate) fn crashed(&self) -> Vec<(usize, f64)> {
-        self.state.lock().crashed.clone()
+        self.state.borrow().crashed.clone()
     }
 
     /// Counters of the faults injected so far, with the arbiter's seeded
     /// tie-break draws folded in.  All zero for an empty plan under seed 0.
     pub fn fault_stats(&self) -> FaultStats {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         let mut stats = st.faults.as_ref().map(|f| f.stats).unwrap_or_default();
         stats.tie_breaks = st.arb.tie_draws();
         stats
@@ -331,9 +347,10 @@ impl NetworkCore {
         self.cfg.fault.is_empty() && self.cfg.sched_seed == 0
     }
 
-    /// Run one scheduling decision and wake the granted process, or tear the
-    /// cluster down if the decision is a deadlock.  Must be called whenever
-    /// a process leaves the `Running` state.
+    /// Run one scheduling decision and record the granted process in
+    /// `next`, or tear the cluster down if the decision is a deadlock or the
+    /// grant completes a livelock.  Must be called whenever a process leaves
+    /// the `Running` state.
     fn dispatch(&self, st: &mut SimState) {
         match st.arb.decide() {
             Decision::Grant(rank) => {
@@ -359,13 +376,10 @@ impl NetworkCore {
                         eprintln!("{report}");
                     }
                     st.aborted = Some(Abort::Livelock(report));
-                    for cv in &self.wake {
-                        cv.notify_all();
-                    }
                     return;
                 }
                 st.arb.set(rank, PState::Running);
-                self.wake[rank].notify_one();
+                st.next = Some(rank);
             }
             Decision::Wait | Decision::AllDone => {}
             Decision::Deadlock => {
@@ -375,41 +389,48 @@ impl NetworkCore {
                     eprintln!("{graph}");
                 }
                 st.aborted = Some(Abort::Deadlock(graph));
-                for cv in &self.wake {
-                    cv.notify_all();
-                }
             }
         }
     }
 
-    /// Park process `me` in `state`, let the arbiter schedule, and sleep
-    /// until `me` is granted the token again.  On return the caller is the
-    /// sole running process and still holds the lock.
+    /// Park process `me` in `state` and let the arbiter schedule.  If it
+    /// grants `me` the token, return at once; otherwise release the borrow
+    /// and switch to the scheduler until `me` is resumed.  On return the
+    /// caller is the sole running process and holds the borrow again.
     ///
     /// # Panics
     ///
-    /// Panics if the cluster aborted (peer panic or deadlock) — including
-    /// when the park itself completes the deadlock.
+    /// Panics if the cluster aborted (peer panic, deadlock or livelock) —
+    /// including when the park itself completes the deadlock.
     fn park<'a>(
         &'a self,
-        mut st: MutexGuard<'a, SimState>,
+        mut st: RefMut<'a, SimState>,
         me: usize,
         state: PState,
-    ) -> MutexGuard<'a, SimState> {
+    ) -> RefMut<'a, SimState> {
         if let Some(abort) = &st.aborted {
             panic_aborted(abort);
         }
         st.arb.set(me, state);
         self.dispatch(&mut st);
-        loop {
-            if let Some(abort) = &st.aborted {
-                panic_aborted(abort);
-            }
-            if matches!(st.arb.state(me), PState::Running) {
-                return st;
-            }
-            self.wake[me].wait(&mut st);
+        if let Some(abort) = &st.aborted {
+            panic_aborted(abort);
         }
+        if st.next == Some(me) {
+            st.next = None;
+            return st;
+        }
+        drop(st);
+        self.exec.suspend();
+        let st = self.state.borrow_mut();
+        if let Some(abort) = &st.aborted {
+            panic_aborted(abort);
+        }
+        assert!(
+            matches!(st.arb.state(me), PState::Running),
+            "process {me} was resumed without the token"
+        );
+        st
     }
 
     /// Put a message on the wire at virtual time `depart` from `src` to
@@ -423,7 +444,7 @@ impl NetworkCore {
     /// it every arrival time — is deterministic.
     pub fn transmit(&self, src: usize, dst: usize, tag: Tag, payload: Bytes, depart: f64) -> u64 {
         assert!(dst < self.cfg.nprocs, "send to nonexistent process {dst}");
-        let mut st = self.park(self.state.lock(), src, PState::Parked { key: depart });
+        let mut st = self.park(self.state.borrow_mut(), src, PState::Parked { key: depart });
         let bytes = payload.len();
         let mut datagrams = self.cfg.datagrams_for(bytes);
         let occupancy = self.cfg.occupancy(bytes);
@@ -546,7 +567,7 @@ impl NetworkCore {
         tag: Option<Tag>,
         clock: f64,
     ) -> Message {
-        let st = self.state.lock();
+        let st = self.state.borrow_mut();
         let state = match Self::find(&st.mailboxes[dst], src, tag) {
             Some(pos) => PState::Parked {
                 key: clock.max(st.mailboxes[dst][pos].arrival),
@@ -588,7 +609,7 @@ impl NetworkCore {
         tag: Option<Tag>,
         now: f64,
     ) -> Option<Message> {
-        let mut st = self.park(self.state.lock(), dst, PState::Parked { key: now });
+        let mut st = self.park(self.state.borrow_mut(), dst, PState::Parked { key: now });
         let pos = st.mailboxes[dst].iter().position(|m| {
             m.arrival <= now && src.is_none_or(|s| m.src == s) && tag.is_none_or(|t| m.tag == t)
         })?;
@@ -611,7 +632,7 @@ impl NetworkCore {
     /// Number of messages queued for `dst` that have arrived by virtual
     /// time `now`.  Like every observation, clock-gated and arbitrated.
     pub fn pending(&self, dst: usize, now: f64) -> usize {
-        let st = self.park(self.state.lock(), dst, PState::Parked { key: now });
+        let st = self.park(self.state.borrow_mut(), dst, PState::Parked { key: now });
         st.mailboxes[dst]
             .iter()
             .filter(|m| m.arrival <= now)
@@ -627,7 +648,7 @@ impl NetworkCore {
     /// grants).  Empty below [`ObsLevel::Trace`].  Called once by the
     /// cluster front end after every process has finished.
     pub fn take_central(&self) -> Vec<Event> {
-        self.state.lock().trace.take().unwrap_or_default()
+        self.state.borrow_mut().trace.take().unwrap_or_default()
     }
 }
 

@@ -8,17 +8,17 @@ use crate::stats::ProcStats;
 use crate::time::VirtualClock;
 use bytes::Bytes;
 use std::cell::{Cell, RefCell};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Handle to one simulated process (workstation).
 ///
-/// A `Proc` is owned by the thread that simulates the process and is not
-/// shared across threads; all communication with other processes goes through
-/// the cluster's [`NetworkCore`], whose conservative virtual-time arbiter
-/// makes every interaction deterministic.
+/// A `Proc` is owned by the coroutine that simulates the process; all
+/// communication with other processes goes through the cluster's
+/// [`NetworkCore`], whose conservative virtual-time arbiter makes every
+/// interaction deterministic.
 pub struct Proc {
     id: usize,
-    core: Arc<NetworkCore>,
+    core: Rc<NetworkCore>,
     clock: VirtualClock,
     stats: RefCell<ProcStats>,
     /// Observability sink; a [`NullSink`] when the config says `Off`, so
@@ -34,7 +34,7 @@ pub struct Proc {
 
 impl Proc {
     /// Create the handle for process `id` on the given network.
-    pub fn new(id: usize, core: Arc<NetworkCore>) -> Self {
+    pub fn new(id: usize, core: Rc<NetworkCore>) -> Self {
         let latency = core.config().latency;
         let level = core.config().obs;
         let stats = ProcStats {
@@ -63,9 +63,10 @@ impl Proc {
     /// Fault-plan crash hook, called on entry to every transport interaction
     /// (send or receive — the points at which a dead process would be
     /// observable to its peers).  When this rank's crash point has been
-    /// reached, the process is torn down through the network core and its
-    /// thread unwinds with a typed [`CrashPayload`]; it never interacts
-    /// again.  A `None` crash point costs one branch.
+    /// reached, the process is torn down through the network core and
+    /// unwinds with a typed [`CrashPayload`] (raised with `resume_unwind`, so
+    /// no panic hook prints it); it never interacts again.  A `None` crash
+    /// point costs one branch.
     fn maybe_crash(&self) {
         let Some(at) = self.crash else { return };
         self.events.set(self.events.get() + 1);
@@ -76,10 +77,10 @@ impl Proc {
         if fired {
             let now = self.clock.now();
             self.core.crash(self.id, now);
-            std::panic::panic_any(CrashPayload {
+            std::panic::resume_unwind(Box::new(CrashPayload {
                 rank: self.id,
                 at: now,
-            });
+            }));
         }
     }
 

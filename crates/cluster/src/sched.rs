@@ -1,10 +1,11 @@
 //! Conservative virtual-time arbitration: the pure decision logic of the
 //! deterministic discrete-event scheduler.
 //!
-//! The simulated cluster runs one OS thread per process, but OS thread
-//! interleaving must never influence the *virtual-time* outcome: every
-//! arrival time, idle time and message counter the paper's tables report has
-//! to be a pure function of the program and the cost model.  The transport
+//! The simulated cluster runs every process as a coroutine, and which one
+//! the host happens to run must never influence the *virtual-time*
+//! outcome: every arrival time, idle time and message counter the paper's
+//! tables report has to be a pure function of the program and the cost
+//! model.  The transport
 //! therefore executes all shared-state interactions (seizing the shared
 //! medium, consuming or observing a mailbox) under a token discipline:
 //!

@@ -10,7 +10,7 @@
 //! finishes, and speedup is sequential virtual time over the maximum finish
 //! time across processes.
 //!
-//! Clocks are advanced only by their owning thread; cross-process ordering
+//! Clocks are advanced only by their owning process; cross-process ordering
 //! of clock-dependent actions is the job of the conservative virtual-time
 //! arbiter in `crate::sched`, which makes the whole construction
 //! deterministic (bit-identical times across runs).

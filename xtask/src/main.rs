@@ -34,15 +34,18 @@
 //! `lint:allow(unsync-read): <why the race is harmless>` marker at every
 //! call site in the host crates.
 //!
-//! **Thread confinement**: OS threads decide nothing in this engine — every
-//! simulated byte is fixed before any interleaving can observe it — and
-//! that only stays true while threading is confined to the executor layer,
+//! **Thread confinement**: a cluster runs all its processes as coroutines
+//! on one thread, so the only OS threads are those of the executor layer,
 //! `crates/bench/src/exec.rs` (the host-side fan over independent runs).
 //! Spawn tokens (`std::thread`, `thread::spawn`, `thread::scope`, `rayon`)
 //! anywhere else in the linted crates need a `lint:allow(threads): <reason>`
-//! marker — the cluster's per-process threads in `crates/cluster/src/lib.rs`
-//! carry one — so a future PR cannot quietly grow a thread that races the
+//! marker, so a future change cannot quietly grow a thread that races the
 //! determinism discipline.
+//!
+//! **Unsafe confinement**: the `unsafe` keyword (blocks, functions, impls,
+//! attributes) appears only in `crates/cluster/src/coro.rs`, the audited
+//! module that switches coroutine stacks.  No marker is honoured: any other
+//! `unsafe` in the linted crates is a finding.
 //!
 //! **Hook discipline**: `impl ConsistencyProtocol for` is permitted only
 //! under `crates/core/src/protocol/` — backends live behind the trait, and
@@ -107,6 +110,18 @@ const THREAD_FILES: [&str; 1] = ["crates/bench/src/exec.rs"];
 /// Tokens that spawn (or name machinery that spawns) OS threads.  Ordered
 /// longest-prefix first so the reported token is the most specific match.
 const THREAD_TOKENS: [&str; 4] = ["std::thread", "thread::spawn", "thread::scope", "rayon"];
+
+/// The one file allowed to contain the `unsafe` keyword.
+const UNSAFE_FILE: &str = "crates/cluster/src/coro.rs";
+
+/// True if `code` contains `word` as a whole identifier (so `unsafe` does
+/// not match inside `unsafe_code`).
+fn has_word(code: &str, word: &str) -> bool {
+    let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    code.match_indices(word).any(|(i, _)| {
+        !ident(code[..i].chars().next_back()) && !ident(code[i + word.len()..].chars().next())
+    })
+}
 
 fn is_under(rel: &Path, roots: &[&str]) -> bool {
     roots.iter().any(|r| rel.starts_with(r))
@@ -215,6 +230,12 @@ fn lint_source(rel: &Path, text: &str, findings: &mut Vec<Finding>) {
                         );
                     }
                 }
+            }
+            if has_word(code, "unsafe") && rel != Path::new(UNSAFE_FILE) {
+                push(
+                    i,
+                    format!("`unsafe` outside {UNSAFE_FILE}, the one audited unsafe module"),
+                );
             }
             if host && code.contains("_unsync(") && !has_marker(&lines, i, "unsync-read") {
                 push(
@@ -492,7 +513,7 @@ mod tests {
         // A marked site with a reason: honoured.
         t.write(
             "crates/cluster/src/justified.rs",
-            "// lint:allow(threads): the cluster's own per-process threads\n\
+            "// lint:allow(threads): a justified helper thread\n\
              fn f() { std::thread::scope(|s| { let _ = s; }); }\n",
         );
         // An empty reason is itself a finding.
@@ -518,6 +539,37 @@ mod tests {
             2,
             "`use std::thread` and `thread::scope` are both spawn tokens"
         );
+    }
+
+    #[test]
+    fn unsafe_is_confined_to_the_coroutine_module() {
+        let t = Tree::new("unsafe");
+        // The audited module: exempt.
+        t.write(
+            "crates/cluster/src/coro.rs",
+            "#[unsafe(naked)]\nfn f() { unsafe { g() } }\n",
+        );
+        // Anywhere else, sim and host crates alike, every form is a finding
+        // and a marker does not help.
+        t.write("crates/cluster/src/net.rs", "fn f() { unsafe { g() } }\n");
+        t.write(
+            "crates/core/src/rogue.rs",
+            "unsafe impl Send for X {}\npub unsafe fn g() {}\n",
+        );
+        t.write(
+            "crates/bench/src/rogue.rs",
+            "// lint:allow(unsafe): markers are not honoured\nfn f() { unsafe { g() } }\n",
+        );
+        // Prose and longer identifiers are not the keyword.
+        t.write(
+            "crates/apps/src/fine.rs",
+            "#![deny(unsafe_code)]\n// no unsafe here\nfn not_unsafe() {}\n",
+        );
+        let f = t.lint();
+        assert_eq!(f.len(), 4, "{f:#?}");
+        assert!(f.iter().all(|f| f.msg.contains("coro.rs")), "{f:#?}");
+        assert!(!f.iter().any(|f| f.file.ends_with("coro.rs")));
+        assert!(!f.iter().any(|f| f.file.ends_with("fine.rs")));
     }
 
     #[test]
